@@ -322,9 +322,9 @@ def rescale_with(cx: DeformedComplex, scalars: dict[int, list]) -> DeformedCompl
     for k, entries in cx.differentials.items():
         target = scalars.get(k + 1, [])
         source = scalars[k]
+        inverse = {s: source[s].inv() for s in {s for _, s in entries}}
         new_diff[k] = {
-            (t, s): target[t] * v * source[s].inv()
-            for (t, s), v in entries.items()
+            (t, s): target[t] * v * inverse[s] for (t, s), v in entries.items()
         }
     return DeformedComplex(
         diagram=cx.diagram,

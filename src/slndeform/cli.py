@@ -27,12 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .chain import build_complex, rescale_basis
+from .chain import DEFAULT_MAX_CROSSINGS, build_complex, rescale_basis
 from .diagram import DiagramError, LinkDiagram, parse, writhe
 from .errors import InternalCheckError, SizeBoundError
 from .fixtures import FIXTURES
 from .homology import closed_form, compute_homology, cross_validate
 from .potential import (
+    LEMMA_MAX_N,
     MultiPoly,
     PotentialContext,
     X_VARS,
@@ -41,7 +42,11 @@ from .potential import (
     u2_poly,
 )
 from .resolution import p_parity, resolve
-from .states import enumerate_admissible, verify_projector_identities
+from .states import (
+    DEFAULT_MAX_RAW_STATES,
+    enumerate_admissible,
+    verify_projector_identities,
+)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -64,8 +69,8 @@ class RunConfig:
     n: int = 2
     beta: Fraction = Fraction(1)
     fmt: str = "text"
-    max_crossings: int = 12
-    max_raw_states: int = 6561
+    max_crossings: int = DEFAULT_MAX_CROSSINGS
+    max_raw_states: int = DEFAULT_MAX_RAW_STATES
     seed: int = 0
 
     def __post_init__(self):
@@ -259,7 +264,7 @@ def _suite_projectors(cfg: RunConfig):
 
 
 def _suite_telescoping(cfg: RunConfig):
-    for n in range(2, min(cfg.n, 6) + 1):
+    for n in range(2, cfg.n + 1):
         ext = X_VARS + ("b",)
         x1, x2, x3, x4, b = (MultiPoly.variable(v, ext) for v in ext)
         shift = (n + 1) * b**n
@@ -275,7 +280,7 @@ def _suite_telescoping(cfg: RunConfig):
         )
         if not lhs == rhs:
             return False, f"telescoping identity fails at n={n}"
-    return True, f"telescoping identity holds up to n={min(cfg.n, 6)}"
+    return True, f"telescoping identity holds up to n={cfg.n}"
 
 
 def _suite_complex(cfg: RunConfig):
@@ -310,6 +315,11 @@ def _suite_cross_validate(cfg: RunConfig):
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    if cfg.n > LEMMA_MAX_N:
+        raise DiagramError(
+            f"verify needs --n <= {LEMMA_MAX_N}, the cap of the brute-force "
+            f"admissibility lemma check; got {cfg.n}"
+        )
     suites = [
         ("admissibility lemma", _suite_lemma),
         ("projector identities", _suite_projectors),
@@ -355,8 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=2, help="order of the root of unity")
         p.add_argument("--beta", default="1", help="nonzero rational deformation scale")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-crossings", type=int, default=12)
-        p.add_argument("--max-raw-states", type=int, default=6561)
+        p.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS)
+        p.add_argument("--max-raw-states", type=int, default=DEFAULT_MAX_RAW_STATES)
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("homology", help="closed form vs rank computation")

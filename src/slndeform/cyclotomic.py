@@ -189,6 +189,12 @@ class CycloField:
         d = self.degree
         if not (any(a) and any(b)):
             return self._zero_coeffs
+        # a rational operand scales the other coefficient vector
+        if not any(b[1:]):
+            a, b = b, a
+        if not any(a[1:]):
+            c = a[0]
+            return tuple(c * y for y in b)
         conv = [Fraction(0)] * (2 * d - 1)
         for i, x in enumerate(a):
             if x == 0:
@@ -210,6 +216,8 @@ class CycloField:
     def _inv(self, a: tuple) -> tuple:
         if not any(a):
             raise ZeroDivisionError("inversion of zero in Q(zeta_n)")
+        if not any(a[1:]):
+            return (Fraction(1) / a[0],) + a[1:]
         # extended Euclid on (a, phi) over Q[x]
         r0 = _poly_trim(list(a))
         r1 = [Fraction(c) for c in self.phi]

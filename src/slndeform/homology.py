@@ -1,7 +1,10 @@
 """Homology of the deformed complex, three ways, and their reconciliation.
 
 * ``compute_homology``: exact kernel/image ranks of the differentials over
-  Q(zeta_n), by sparse Gaussian elimination with sparsest-row pivoting.
+  Q(zeta_n).  Every differential keeps the label on each arc and free loop,
+  so it is block diagonal in the arc coloring of its basis elements; each
+  block is ranked by exact sparse Gaussian elimination with sparsest-row
+  pivoting, and an entry joining two colorings raises InternalCheckError.
 * ``closed_form``: the combinatorial answer -- one generator per coloring
   of the components by roots of unity, in degree given by the linking
   numbers of the preimage sublinks, n^l generators in total.
@@ -20,7 +23,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .chain import DeformedComplex, LocalType, build_complex, classify_local
+from .chain import (
+    DEFAULT_MAX_CROSSINGS,
+    DeformedComplex,
+    LocalType,
+    build_complex,
+    classify_local,
+)
 from .diagram import LinkDiagram, linking_matrix
 from .errors import InternalCheckError
 from .resolution import Resolution, degree as vertex_degree, resolve
@@ -148,6 +157,57 @@ def _pos(r: Resolution) -> dict[int, int]:
     return {t: i for i, t in enumerate(r.thin_edges)}
 
 
+def _coloring_slots(r: Resolution) -> tuple[int, ...]:
+    """State positions of the label on each arc, then on each free loop."""
+    d = r.diagram
+    pos = _pos(r)
+    return tuple(pos[r.thin_of(a)] for a in d.arcs) + tuple(
+        pos[-(i + 1)] for i in range(d.free_loops)
+    )
+
+
+def _block_rank(cx: DeformedComplex, k: int, entries: dict) -> int:
+    """Rank of d_k as the sum of the ranks of its arc-coloring blocks.
+
+    A nonzero entry belongs to the block of its source's arc coloring and
+    must have a target of the same coloring.  Colorings are computed only
+    for the basis elements some entry touches, once each.
+    """
+    sources, targets = cx.basis[k], cx.basis.get(k + 1, ())
+    slots: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def coloring(el) -> tuple:
+        where = slots.get(el.vertex)
+        if where is None:
+            where = slots[el.vertex] = _coloring_slots(cx.resolutions[el.vertex])
+        return tuple(el.state[i] for i in where)
+
+    # coloring -> (target -> row in the block, keys of the block's entries)
+    blocks: dict[tuple, tuple[dict, list]] = {}
+    source_block: dict[int, tuple[dict, list]] = {}
+    for key, v in entries.items():
+        if v.is_zero:
+            continue
+        t, s = key
+        block = source_block.get(s)
+        if block is None:
+            block = blocks.setdefault(coloring(sources[s]), ({}, []))
+            source_block[s] = block
+        rows, keys = block
+        if t not in rows:
+            if blocks.get(coloring(targets[t])) is not block:
+                raise InternalCheckError(
+                    f"d_{k} entry joins {sources[s]} and {targets[t]} across arc "
+                    f"colorings {coloring(sources[s])} and {coloring(targets[t])}"
+                )
+            rows[t] = len(rows)
+        keys.append(key)
+    return sum(
+        matrix_rank({(rows[t], s): entries[t, s] for t, s in keys}, len(rows))
+        for rows, keys in blocks.values()
+    )
+
+
 def _survivor_psi(resolution: Resolution, state) -> tuple[int, ...]:
     """Convert a survivor state (constant per component) to a coloring."""
     d = resolution.diagram
@@ -186,13 +246,13 @@ def _is_survivor(cx: DeformedComplex, vertex, state) -> bool:
 def compute_homology(cx: DeformedComplex) -> HomologyResult:
     """Per-degree dimensions by exact rank computation.
 
-    dim H^k = dim C^k - rank(d_k) - rank(d_{k-1}).  Generator descriptors
-    are read off the basis elements whose local types make them survive;
-    ``cross_validate`` checks they account for every dimension.
+    dim H^k = dim C^k - rank(d_k) - rank(d_{k-1}), each rank summed over
+    the arc-coloring blocks of d_k.  Generator descriptors are read off the
+    basis elements whose local types make them survive; ``cross_validate``
+    checks they account for every dimension.
     """
     ranks = {
-        k: matrix_rank(entries, len(cx.basis.get(k + 1, ())))
-        for k, entries in cx.differentials.items()
+        k: _block_rank(cx, k, entries) for k, entries in cx.differentials.items()
     }
     dims = {}
     for k in cx.degrees:
@@ -287,7 +347,10 @@ class CrossValidation:
 
 
 def cross_validate(
-    d: LinkDiagram, n: int, beta=Fraction(1), max_crossings: int = 12
+    d: LinkDiagram,
+    n: int,
+    beta=Fraction(1),
+    max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> CrossValidation:
     """Run all three methods and insist on exact agreement."""
     cx = build_complex(d, n, beta, max_crossings=max_crossings)

@@ -35,7 +35,11 @@ __all__ = [
     "admissible_tuple",
     "lemma_brute_check",
     "LemmaReport",
+    "LEMMA_MAX_N",
 ]
+
+# largest n the brute-force lemma check accepts (n^4 tuples over Q(zeta_n))
+LEMMA_MAX_N = 6
 
 X_VARS = ("x1", "x2", "x3", "x4")
 
@@ -339,7 +343,9 @@ def _g_coeff_terms(n: int) -> list[tuple[int, int, Fraction]]:
     return sorted((e[0], e[1], c) for e, c in g_poly(n).terms.items())
 
 
-def lemma_brute_check(ctx: PotentialContext, max_n: int = 6) -> LemmaReport:
+def lemma_brute_check(
+    ctx: PotentialContext, max_n: int = LEMMA_MAX_N
+) -> LemmaReport:
     """Exhaustively verify the thick-edge equations against admissibility.
 
     Scans all n^4 tuples (l1, l2, l3, l4) of root labels, evaluates the four

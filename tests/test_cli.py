@@ -4,6 +4,7 @@ import json
 
 import jsonschema
 
+from slndeform import cli
 from slndeform.cli import main
 
 HOMOLOGY_SCHEMA = {
@@ -233,6 +234,17 @@ def test_verify_n6_covers_1296_tuples(capsys):
     code, out, _ = _run(capsys, "verify", "--n", "6")
     assert code == 0
     assert "1296 tuples" in out
+
+
+def test_verify_above_lemma_cap_is_an_input_error(capsys, monkeypatch):
+    def no_suite(cfg):
+        raise AssertionError("a suite ran before --n was checked")
+
+    monkeypatch.setattr(cli, "_suite_lemma", no_suite)
+    code, out, err = _run(capsys, "verify", "--n", "7")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and "--n <= 6" in err
 
 
 def test_output_is_deterministic(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from slndeform.cyclotomic import CycloField, cyclotomic_polynomial, root
 
@@ -112,3 +113,55 @@ def test_rational_extraction_and_rendering():
         i.as_rational()
     assert str(fld.zero) == "0"
     assert str(1 - i * 2) == "1 - 2*z"
+
+
+# ----------------------------------------------------------------------
+# Rational shortcuts of the field kernels against the general kernels
+# ----------------------------------------------------------------------
+# A rational operand is scaled into the other coefficient vector and a
+# rational is inverted as 1/c.  The general convolve-and-fold product and
+# extended-Euclid inverse are reached through operands with a nonzero
+# zeta coefficient; at n = 2 the field is Q and every operand is rational.
+
+RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+
+
+@st.composite
+def field_and_element(draw):
+    """A field Q(zeta_n), n = 2..7, and an element, non-rational if it can be."""
+    fld = CycloField(draw(st.integers(min_value=2, max_value=7)))
+    coeffs = draw(st.lists(RATIONALS, min_size=fld.degree, max_size=fld.degree))
+    assume(fld.degree == 1 or any(coeffs[1:]))
+    return fld, fld.element(coeffs)
+
+
+def _is_rational(a) -> bool:
+    return not any(a.coeffs[1:])
+
+
+@settings(deadline=None)
+@given(field_and_element(), RATIONALS)
+def test_rational_times_general_matches_convolve_and_fold(fb, r):
+    fld, b = fb
+    rational, z = fld.from_rational(r), fld.root(1)
+    general = (rational + z) * b - z * b
+    if fld.degree > 1:
+        assert not _is_rational(b) and not _is_rational(rational + z)
+    assert rational * b == general
+    assert b * rational == general
+    assert all(isinstance(c, Fraction) for c in (rational * b).coeffs)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=2, max_value=7), RATIONALS.filter(bool))
+def test_rational_inverse_matches_extended_euclid(n, r):
+    fld = CycloField(n)
+    rational, z = fld.from_rational(r), fld.root(1)
+    shifted = rational * z
+    if fld.degree > 1:
+        assert not _is_rational(shifted)
+    inverse = rational.inv()
+    assert inverse == shifted.inv() * z
+    assert inverse.coeffs == (1 / r,) + (Fraction(0),) * (fld.degree - 1)
+    assert all(isinstance(c, Fraction) for c in inverse.coeffs)
+    assert inverse * rational == 1

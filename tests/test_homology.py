@@ -1,18 +1,27 @@
 """The three homology computations and their exact agreement."""
 
+from dataclasses import replace
 from fractions import Fraction
 
-from slndeform.chain import build_complex
+import pytest
+
+from slndeform.chain import build_complex, rescale_basis
 from slndeform.cyclotomic import CycloField
 from slndeform.diagram import parse_pd
-from slndeform.fixtures import fixture, fixture_names
+from slndeform.errors import InternalCheckError
+from slndeform.fixtures import FIXTURES, fixture, fixture_names
 from slndeform.homology import (
+    _block_rank,
     closed_form,
     compute_homology,
     cross_validate,
     matrix_rank,
     survivors_combinatorial,
 )
+
+TORUS_2_3 = FIXTURES["trefoil_right"]
+TORUS_2_5 = "X[1,6,2,7] X[3,8,4,9] X[5,10,6,1] X[7,2,8,3] X[9,4,10,5]"
+
 
 def test_matrix_rank_small_cases():
     fld = CycloField(3)
@@ -179,3 +188,59 @@ def test_homology_result_json():
     assert blob["dims"] == {"0": 2, "2": 2}
     assert blob["total"] == 4
     assert all(set(g) == {"psi", "degree"} for g in blob["generators"])
+
+
+# ----------------------------------------------------------------------
+# Ranking by arc-coloring blocks
+# ----------------------------------------------------------------------
+
+def _assert_block_ranks_match(cx):
+    for k, entries in cx.differentials.items():
+        whole = matrix_rank(entries, len(cx.basis.get(k + 1, ())))
+        assert _block_rank(cx, k, entries) == whole, k
+
+
+@pytest.mark.parametrize("name", fixture_names())
+@pytest.mark.parametrize("n", [2, 3])
+def test_block_ranks_equal_whole_matrix_rank_on_fixtures(name, n):
+    _assert_block_ranks_match(build_complex(fixture(name), n))
+
+
+@pytest.mark.parametrize("code", [TORUS_2_3, TORUS_2_5], ids=["T(2,3)", "T(2,5)"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_block_ranks_equal_whole_matrix_rank_on_torus_knots(code, n):
+    _assert_block_ranks_match(build_complex(parse_pd(code), n))
+
+
+@pytest.mark.parametrize("code", [TORUS_2_3, TORUS_2_5], ids=["T(2,3)", "T(2,5)"])
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_block_ranks_equal_whole_matrix_rank_after_rescaling(code, n):
+    rescaled = rescale_basis(build_complex(parse_pd(code), n), seed=n)
+    assert any(
+        any(v.coeffs[1:]) for entries in rescaled.differentials.values()
+        for v in entries.values()
+    )
+    _assert_block_ranks_match(rescaled)
+
+
+def test_entry_joining_two_arc_colorings_is_rejected():
+    cx = build_complex(fixture("hopf_pos"), 2)
+    k, entries = next((k, e) for k, e in cx.differentials.items() if e)
+    (t, s), v = next(iter(entries.items()))
+    target = cx.basis[k + 1][t]
+    # two states of one resolution differ on some thin edge, hence on an arc
+    other = next(
+        i for i, el in enumerate(cx.basis[k + 1])
+        if el.vertex == target.vertex and el.state != target.state
+    )
+    moved = {key: val for key, val in entries.items() if key != (t, s)}
+    moved[(other, s)] = v
+    broken = replace(cx, differentials={**cx.differentials, k: moved})
+    with pytest.raises(InternalCheckError, match="arc colorings"):
+        compute_homology(broken)
+
+
+def test_kink_beside_five_unknots_cross_validates():
+    rep = cross_validate(parse_pd("X[1,2,2,1] U U U U U"), 4)
+    assert rep.passed, rep.messages
+    assert rep.computed.dims == {0: 4096}
