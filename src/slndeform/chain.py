@@ -75,37 +75,42 @@ def classify_local(values, bit: int) -> LocalType:
     return LocalType.TYPE4 if l1 == l2 else LocalType.TYPE3
 
 
-def _local_values(r: Resolution, state, positions, c: Crossing):
-    """Labels at the four slots of crossing c (valid for either bit)."""
-    return (
-        state[positions[r.thin_of(c.out_over)]],
-        state[positions[r.thin_of(c.out_under)]],
-        state[positions[r.thin_of(c.in_under)]],
-        state[positions[r.thin_of(c.in_over)]],
-    )
-
-
-def _positions(r: Resolution) -> dict[int, int]:
-    return {t: i for i, t in enumerate(r.thin_edges)}
-
-
-def _transfer_state(
-    src: Resolution, dst: Resolution, state, src_pos, dst_pos
-):
+def _transfer_state(src: Resolution, dst: Resolution, state):
     """Carry a state across resolutions by retaining every arc's label.
 
     Returns None when some thin edge of ``dst`` would receive two different
     labels (the ill-defined case that kills type 2 states).
     """
     out = [None] * len(dst.thin_edges)
-    for arc, t in dst.arc_to_thin.items():
-        v = state[src_pos[src.arc_to_thin[arc]]]
-        slot = dst_pos[t]
-        if out[slot] is None:
-            out[slot] = v
-        elif out[slot] != v:
+    for arc, i in dst.slot.items():
+        v = state[src.slot[arc]]
+        if out[i] is None:
+            out[i] = v
+        elif out[i] != v:
             return None
     return tuple(out)
+
+
+def _partners(src: Resolution, dst: Resolution, states, c: Crossing, bit: int, valid):
+    """(state, partner) pairs across the cube edge that flips crossing c.
+
+    ``bit`` is c's bit in ``src``: type 3 states match from the 0-side and
+    type 1 states from the 1-side; every other state maps to zero.  The
+    partner retains every arc's label and must lie in ``valid``, the
+    admissible states of ``dst``; a missing partner raises
+    InternalCheckError.
+    """
+    want = LocalType.TYPE3 if bit == 0 else LocalType.TYPE1
+    for s in states:
+        if classify_local(src.local_values(s, c), bit) is not want:
+            continue
+        partner = _transfer_state(src, dst, s)
+        if partner is None or partner not in valid:
+            raise InternalCheckError(
+                f"type {want.value} state {s} has no admissible partner "
+                f"across crossing {c.id}"
+            )
+        yield s, partner
 
 
 def matched_pairs(r0: Resolution, r1: Resolution, crossing: int, n: int):
@@ -123,39 +128,18 @@ def matched_pairs(r0: Resolution, r1: Resolution, crossing: int, n: int):
             "resolutions must differ at exactly the given crossing, bits 0 vs 1"
         )
     c = r0.diagram.crossings[crossing]
-    pos0, pos1 = _positions(r0), _positions(r1)
     states0 = enumerate_admissible(r0, n)
     states1 = enumerate_admissible(r1, n)
-    index0 = {s: i for i, s in enumerate(states0)}
-    index1 = {s: i for i, s in enumerate(states1)}
-
-    pairs = []
-    for s0 in states0:
-        if classify_local(_local_values(r0, s0, pos0, c), 0) is not LocalType.TYPE3:
-            continue
-        s1 = _transfer_state(r0, r1, s0, pos0, pos1)
-        if s1 is None or s1 not in index1:
-            raise InternalCheckError(
-                f"type 3 state {s0} has no admissible partner across crossing {crossing}"
-            )
-        pairs.append((s0, s1))
-
+    pairs = sorted(_partners(r0, r1, states0, c, 0, set(states1)))
     # re-derive from the thick side and insist on the same bijection
-    back = []
-    for s1 in states1:
-        if classify_local(_local_values(r1, s1, pos1, c), 1) is not LocalType.TYPE1:
-            continue
-        s0 = _transfer_state(r1, r0, s1, pos1, pos0)
-        if s0 is None or s0 not in index0:
-            raise InternalCheckError(
-                f"type 1 state {s1} has no admissible partner across crossing {crossing}"
-            )
-        back.append((s0, s1))
-    if sorted(pairs) != sorted(back):
+    back = sorted(
+        (s0, s1) for s1, s0 in _partners(r1, r0, states1, c, 1, set(states0))
+    )
+    if pairs != back:
         raise InternalCheckError(
             f"matched pairs disagree between the two sides at crossing {crossing}"
         )
-    return sorted(pairs)
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -243,16 +227,15 @@ def build_complex(
     resolutions = {v: resolve(d, v) for v in vertices}
     states = {v: enumerate_admissible(resolutions[v], n) for v in vertices}
     vdeg = {v: vertex_degree(d, v) for v in vertices}
-    positions = {v: _positions(resolutions[v]) for v in vertices}
 
     basis: dict[int, list[ChainBasisElement]] = {}
-    locator: dict[tuple[tuple[int, ...], tuple], int] = {}
+    locator: dict[tuple[int, ...], dict[tuple, int]] = {}  # vertex -> state -> index
     for v in vertices:  # lexicographic vertex order, then state order
+        index = locator[v] = {}
         for s in states[v]:
-            basis.setdefault(vdeg[v], []).append(
-                ChainBasisElement(vertex=v, state=s, degree=vdeg[v])
-            )
-            locator[(v, s)] = len(basis[vdeg[v]]) - 1
+            column = basis.setdefault(vdeg[v], [])
+            index[s] = len(column)
+            column.append(ChainBasisElement(vertex=v, state=s, degree=vdeg[v]))
 
     differentials: dict[int, dict[tuple[int, int], CycloNumber]] = {}
     one = field.one
@@ -262,24 +245,14 @@ def build_complex(
             if v[ci] != src_bit:
                 continue
             w = tuple(b ^ 1 if i == ci else b for i, b in enumerate(v))
-            r_src, r_tgt = resolutions[v], resolutions[w]
-            want = LocalType.TYPE3 if src_bit == 0 else LocalType.TYPE1
             cube_sign = (-1) ** sum(v[:ci])
             coeff = one * cube_sign
             block = differentials.setdefault(vdeg[v], {})
-            for s in states[v]:
-                if classify_local(
-                    _local_values(r_src, s, positions[v], c), src_bit
-                ) is not want:
-                    continue
-                target = _transfer_state(
-                    r_src, r_tgt, s, positions[v], positions[w]
-                )
-                if target is None or (w, target) not in locator:
-                    raise InternalCheckError(
-                        f"retained state unexpectedly invalid across crossing {ci}"
-                    )
-                key = (locator[(w, target)], locator[(v, s)])
+            src_index, tgt_index = locator[v], locator[w]
+            for s, target in _partners(
+                resolutions[v], resolutions[w], states[v], c, src_bit, tgt_index
+            ):
+                key = (tgt_index[target], src_index[s])
                 cur = block.get(key)
                 block[key] = coeff if cur is None else cur + coeff
 

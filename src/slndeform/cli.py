@@ -2,8 +2,9 @@
 
 Commands:
 
-* ``homology``  -- closed form vs. exact rank computation, with agreement
-  in the exit code (0 agree, 1 mismatch).
+* ``homology``  -- the three-way check: exact rank computation, closed form
+  and survivor resolutions, plus d^2 = 0, with agreement in the exit code
+  (0 agree, 1 mismatch).
 * ``states``    -- admissible-state count (and optional listing) for one
   resolution of the cube.
 * ``complex``   -- per-degree chain dimensions and optional sparse matrix
@@ -31,7 +32,7 @@ from .chain import DEFAULT_MAX_CROSSINGS, build_complex, rescale_basis
 from .diagram import DiagramError, LinkDiagram, parse, writhe
 from .errors import InternalCheckError, SizeBoundError
 from .fixtures import FIXTURES
-from .homology import closed_form, compute_homology, cross_validate
+from .homology import compute_homology, cross_validate
 from .potential import (
     LEMMA_MAX_N,
     MultiPoly,
@@ -109,19 +110,16 @@ def _dims_str(dims: dict) -> str:
 # ----------------------------------------------------------------------
 
 def cmd_homology(name: str, d: LinkDiagram, cfg: RunConfig) -> int:
-    closed = closed_form(d, cfg.n)
-    cx = build_complex(d, cfg.n, cfg.beta, max_crossings=cfg.max_crossings)
-    computed = compute_homology(cx)
-    agree = computed.dims == closed.dims
-    result = computed if agree else closed
+    report = cross_validate(d, cfg.n, cfg.beta, max_crossings=cfg.max_crossings)
+    closed, computed, agree = report.closed, report.computed, report.passed
 
     payload = {
         "diagram": name,
         "n": cfg.n,
         "beta": str(cfg.beta),
         "components": d.component_count,
-        "dims": {str(k): v for k, v in sorted(result.dims.items())},
-        "total": result.total,
+        "dims": {str(k): v for k, v in sorted(computed.dims.items())},
+        "total": computed.total,
         "generators": [
             {"psi": list(g.psi), "degree": g.degree} for g in closed.generators
         ],
@@ -136,6 +134,7 @@ def cmd_homology(name: str, d: LinkDiagram, cfg: RunConfig) -> int:
         f"closed form:      {_dims_str(closed.dims)}  total {closed.total}",
         f"rank computation: {_dims_str(computed.dims)}  total {computed.total}",
         f"agreement: {'yes' if agree else 'NO'}",
+        *(f"  {m}" for m in report.messages),
         "generators (degree: colorings):",
     ]
     by_degree: dict[int, list] = {}
@@ -369,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-raw-states", type=int, default=DEFAULT_MAX_RAW_STATES)
         p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("homology", help="closed form vs rank computation")
+    p = sub.add_parser("homology", help="three-way homology check")
     common(p)
     p = sub.add_parser("states", help="admissible states of one resolution")
     common(p)
@@ -377,8 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="list the states")
     p = sub.add_parser("complex", help="chain dimensions and matrices")
     common(p)
-    p.add_argument("--dims", action="store_true",
-                   help="per-degree dimensions (always printed)")
     p.add_argument("--matrices", action="store_true", help="dump sparse differentials")
     p = sub.add_parser("verify", help="run the identity suites")
     common(p, diagram=False)

@@ -153,19 +153,6 @@ def closed_form(d: LinkDiagram, n: int) -> HomologyResult:
 # Linear algebra on the complex
 # ----------------------------------------------------------------------
 
-def _pos(r: Resolution) -> dict[int, int]:
-    return {t: i for i, t in enumerate(r.thin_edges)}
-
-
-def _coloring_slots(r: Resolution) -> tuple[int, ...]:
-    """State positions of the label on each arc, then on each free loop."""
-    d = r.diagram
-    pos = _pos(r)
-    return tuple(pos[r.thin_of(a)] for a in d.arcs) + tuple(
-        pos[-(i + 1)] for i in range(d.free_loops)
-    )
-
-
 def _block_rank(cx: DeformedComplex, k: int, entries: dict) -> int:
     """Rank of d_k as the sum of the ranks of its arc-coloring blocks.
 
@@ -174,13 +161,10 @@ def _block_rank(cx: DeformedComplex, k: int, entries: dict) -> int:
     for the basis elements some entry touches, once each.
     """
     sources, targets = cx.basis[k], cx.basis.get(k + 1, ())
-    slots: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def coloring(el) -> tuple:
-        where = slots.get(el.vertex)
-        if where is None:
-            where = slots[el.vertex] = _coloring_slots(cx.resolutions[el.vertex])
-        return tuple(el.state[i] for i in where)
+        state = el.state
+        return tuple(state[i] for i in cx.resolutions[el.vertex].slot.values())
 
     # coloring -> (target -> row in the block, keys of the block's entries)
     blocks: dict[tuple, tuple[dict, list]] = {}
@@ -208,39 +192,34 @@ def _block_rank(cx: DeformedComplex, k: int, entries: dict) -> int:
     )
 
 
-def _survivor_psi(resolution: Resolution, state) -> tuple[int, ...]:
+def _survivor_psi(r: Resolution, state) -> tuple[int, ...]:
     """Convert a survivor state (constant per component) to a coloring."""
-    d = resolution.diagram
-    pos = _pos(resolution)
+    d = r.diagram
     psi = []
     for comp in d.components:
-        labels = {state[pos[resolution.thin_of(a)]] for a in comp}
+        labels = {state[r.slot[a]] for a in comp}
         if len(labels) != 1:
             raise InternalCheckError(
                 f"survivor state {state} is not constant on component {comp}"
             )
         psi.append(labels.pop())
     for i in range(d.free_loops):
-        psi.append(state[pos[-(i + 1)]])
+        psi.append(state[r.slot[-(i + 1)]])
     return tuple(psi)
 
 
-def _is_survivor(cx: DeformedComplex, vertex, state) -> bool:
-    """Type 2 at every 1-resolved crossing, type 4 at every 0-resolved one."""
-    r = cx.resolutions[vertex]
-    pos = _pos(r)
-    for ci, c in enumerate(cx.diagram.crossings):
-        values = (
-            state[pos[r.thin_of(c.out_over)]],
-            state[pos[r.thin_of(c.out_under)]],
-            state[pos[r.thin_of(c.in_under)]],
-            state[pos[r.thin_of(c.in_over)]],
-        )
-        kind = classify_local(values, vertex[ci])
-        want = LocalType.TYPE2 if vertex[ci] == 1 else LocalType.TYPE4
+def _non_survivor(r: Resolution, state):
+    """The first crossing where ``state`` fails to survive, or None.
+
+    A survivor has local type 2 at every 1-resolved crossing and type 4 at
+    every 0-resolved one.  A failure is (crossing, its type, wanted type).
+    """
+    for c, bit in zip(r.diagram.crossings, r.choice):
+        kind = classify_local(r.local_values(state, c), bit)
+        want = LocalType.TYPE2 if bit == 1 else LocalType.TYPE4
         if kind is not want:
-            return False
-    return True
+            return c.id, kind, want
+    return None
 
 
 def compute_homology(cx: DeformedComplex) -> HomologyResult:
@@ -264,8 +243,9 @@ def compute_homology(cx: DeformedComplex) -> HomologyResult:
     gens = []
     for k in cx.degrees:
         for el in cx.basis[k]:
-            if _is_survivor(cx, el.vertex, el.state):
-                psi = _survivor_psi(cx.resolutions[el.vertex], el.state)
+            r = cx.resolutions[el.vertex]
+            if _non_survivor(r, el.state) is None:
+                psi = _survivor_psi(r, el.state)
                 gens.append(GeneratorDescriptor(degree=k, psi=psi))
     gens = tuple(sorted(gens))
     return HomologyResult(dims={k: dims[k] for k in sorted(dims)}, generators=gens)
@@ -292,35 +272,27 @@ def survivors_combinatorial(d: LinkDiagram, n: int) -> HomologyResult:
             for c in d.crossings
         )
         r = resolve(d, choice)
-        pos = _pos(r)
         state: list = [None] * len(r.thin_edges)
         for arc in d.arcs:
             v = psi[d.component_of(arc)]
-            slot = pos[r.thin_of(arc)]
-            if state[slot] is None:
-                state[slot] = v
-            elif state[slot] != v:
+            i = r.slot[arc]
+            if state[i] is None:
+                state[i] = v
+            elif state[i] != v:
                 raise InternalCheckError(
                     f"coloring {psi} induces an ill-defined state at choice {choice}"
                 )
         for i in range(d.free_loops):
-            state[pos[-(i + 1)]] = psi[len(d.components) + i]
+            state[r.slot[-(i + 1)]] = psi[len(d.components) + i]
         state = tuple(state)
 
-        for ci, c in enumerate(d.crossings):
-            values = (
-                state[pos[r.thin_of(c.out_over)]],
-                state[pos[r.thin_of(c.out_under)]],
-                state[pos[r.thin_of(c.in_under)]],
-                state[pos[r.thin_of(c.in_over)]],
+        failure = _non_survivor(r, state)
+        if failure is not None:
+            ci, kind, want = failure
+            raise InternalCheckError(
+                f"induced state of coloring {psi} has type {kind} at "
+                f"crossing {ci}, expected {want}"
             )
-            kind = classify_local(values, choice[ci])
-            want = LocalType.TYPE2 if choice[ci] == 1 else LocalType.TYPE4
-            if kind is not want:
-                raise InternalCheckError(
-                    f"induced state of coloring {psi} has type {kind} at "
-                    f"crossing {ci}, expected {want}"
-                )
         gens.append(
             GeneratorDescriptor(degree=vertex_degree(d, choice), psi=psi)
         )

@@ -11,13 +11,19 @@ arc; the 0-smoothing of the same crossing joins slots (1,3) and (2,4).
 Thin edges are the arc classes generated by all 0-smoothings, identified by
 their smallest arc label; crossingless circles of the diagram get the
 negative identifiers -1, -2, ... in input order.
+
+A state is a tuple of labels aligned with ``thin_edges``.  ``slot`` owns
+that layout: it maps every arc and free-loop id (arcs first, then loops)
+to the index of its label in a state.  Because every thin-edge id is the
+smallest arc of its class or a loop id, ``slot`` also maps thin-edge ids.
+``local_values`` reads the four labels at a crossing through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import LinkDiagram
+from .diagram import Crossing, LinkDiagram
 
 __all__ = ["ThickEdge", "Resolution", "resolve", "p_parity", "degree"]
 
@@ -36,9 +42,20 @@ class Resolution:
     thick_edges: tuple[ThickEdge, ...]
     circles: tuple[int, ...]
     arc_to_thin: dict[int, int]
+    slot: dict[int, int]  # arc or loop id -> index of its label in a state
 
     def thin_of(self, arc: int) -> int:
         return self.arc_to_thin[arc]
+
+    def local_values(self, state, c: Crossing) -> tuple:
+        """Labels at slots 1..4 of crossing c (valid for either bit)."""
+        slot = self.slot
+        return (
+            state[slot[c.out_over]],
+            state[slot[c.out_under]],
+            state[slot[c.in_under]],
+            state[slot[c.in_over]],
+        )
 
     def to_json(self) -> dict:
         return {
@@ -119,6 +136,7 @@ def resolve(d: LinkDiagram, choice) -> Resolution:
                 "resolution graph is not a union of circles and intervals"
             )
 
+    index = {t: i for i, t in enumerate(thin_edges)}
     return Resolution(
         diagram=d,
         choice=choice,
@@ -126,6 +144,7 @@ def resolve(d: LinkDiagram, choice) -> Resolution:
         thick_edges=tuple(thick_edges),
         circles=tuple(circles),
         arc_to_thin=arc_to_thin,
+        slot={a: index[t] for a, t in arc_to_thin.items()},
     )
 
 

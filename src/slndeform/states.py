@@ -52,8 +52,7 @@ def enumerate_admissible(r: Resolution, n: int) -> tuple[State, ...]:
     if n < 2:
         raise ValueError("n must be >= 2")
     thin = r.thin_edges
-    pos = {t: i for i, t in enumerate(thin)}
-    constraints = [tuple(pos[s] for s in t.slots) for t in r.thick_edges]
+    constraints = [tuple(r.slot[s] for s in t.slots) for t in r.thick_edges]
     incident: list[list[int]] = [[] for _ in thin]
     for ci, slots in enumerate(constraints):
         for p in set(slots):
@@ -118,7 +117,6 @@ class StateAlgebra:
         self.field = CycloField(n)
         self.states = enumerate_admissible(resolution, n)
         self.index = {s: i for i, s in enumerate(self.states)}
-        self.position = {t: i for i, t in enumerate(resolution.thin_edges)}
         self._factors: list[CycloNumber] | None = None
 
     # -- basic elements ----------------------------------------------------
@@ -137,9 +135,9 @@ class StateAlgebra:
 
     def generator_action(self, e: int) -> "StateFunction":
         """The edge generator X_e: the function phi -> beta * zeta^{phi(e)}."""
-        if e not in self.position:
+        if e not in self.resolution.thin_edges:
             raise KeyError(f"unknown thin edge {e}")
-        p = self.position[e]
+        p = self.resolution.slot[e]
         vals = tuple(self.field.root(s[p]) * self.beta for s in self.states)
         return StateFunction(self, vals)
 

@@ -6,6 +6,7 @@ import pytest
 
 from slndeform.chain import (
     LocalType,
+    _partners,
     build_complex,
     classify_local,
     matched_pairs,
@@ -13,7 +14,7 @@ from slndeform.chain import (
     rescale_with,
 )
 from slndeform.diagram import parse_pd
-from slndeform.errors import SizeBoundError
+from slndeform.errors import InternalCheckError, SizeBoundError
 from slndeform.fixtures import fixture, fixture_names
 from slndeform.homology import compute_homology
 from slndeform.resolution import resolve
@@ -70,6 +71,14 @@ def test_type2_states_match_nothing_downward():
         assert (s in matched1) == (kind is LocalType.TYPE1)
         if kind is LocalType.TYPE2:
             assert s not in matched1
+
+
+def test_missing_partner_is_detected_and_names_the_crossing():
+    d = fixture("hopf_pos")
+    r0, r1 = resolve(d, (0, 0)), resolve(d, (1, 0))
+    states0 = enumerate_admissible(r0, 2)
+    with pytest.raises(InternalCheckError, match="crossing 0"):
+        list(_partners(r0, r1, states0, d.crossings[0], 0, set()))
 
 
 def test_matched_pairs_validates_vertices():

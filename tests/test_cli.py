@@ -1,10 +1,11 @@
 """Command-line behavior: outputs, exit codes, schemas, determinism."""
 
 import json
+from dataclasses import replace
 
 import jsonschema
 
-from slndeform import cli
+from slndeform import cli, homology
 from slndeform.cli import main
 
 HOMOLOGY_SCHEMA = {
@@ -124,6 +125,25 @@ def test_homology_json_schema(capsys):
     jsonschema.validate(payload, HOMOLOGY_SCHEMA)
     assert payload["agree"] is True
     assert payload["dims"] == {"-2": 6, "0": 3}
+
+
+def test_homology_mismatch_reports_the_computed_dims(capsys, monkeypatch):
+    real = homology.compute_homology
+    monkeypatch.setattr(
+        "slndeform.homology.compute_homology",
+        lambda cx: replace(real(cx), dims={0: 99}),
+    )
+    code, out, _ = _run(capsys, "homology", "hopf_pos", "--n", "2",
+                        "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["agree"] is False
+    assert payload["dims"] == {"0": 99}
+    assert payload["total"] == 99
+    assert payload["closed_form_dims"] == {"0": 2, "2": 2}
+    code, out, _ = _run(capsys, "homology", "hopf_pos", "--n", "2")
+    assert code == 1
+    assert "agreement: NO\n  rank computation {0: 99} != closed form" in out
 
 
 def test_corrupt_file_is_input_error(tmp_path, capsys):

@@ -8,6 +8,16 @@ from slndeform.diagram import parse_pd
 from slndeform.fixtures import fixture, fixture_names
 from slndeform.resolution import degree, p_parity, resolve
 
+TORUS_2_5 = "X[1,6,2,7] X[3,8,4,9] X[5,10,6,1] X[7,2,8,3] X[9,4,10,5]"
+
+
+def _every_vertex():
+    diagrams = [(name, fixture(name)) for name in fixture_names()]
+    diagrams.append(("T(2,5)", parse_pd(TORUS_2_5)))
+    for name, d in diagrams:
+        for choice in product((0, 1), repeat=len(d.crossings)):
+            yield name, resolve(d, choice)
+
 
 def test_hopf_all_zero_resolution_is_two_circles():
     r = resolve(fixture("hopf_pos"), (0, 0))
@@ -115,3 +125,21 @@ def test_resolution_json_shape():
     blob = r.to_json()
     assert blob["choice"] == "10"
     assert set(blob) == {"choice", "thin_edges", "thick_edges", "circles"}
+
+
+def test_slot_maps_arcs_then_loops_to_their_thin_edge_index():
+    for name, r in _every_vertex():
+        d = r.diagram
+        loops = [-(i + 1) for i in range(d.free_loops)]
+        assert list(r.slot) == list(d.arcs) + loops, (name, r.choice)
+        for a, i in r.slot.items():
+            assert i == r.thin_edges.index(r.thin_of(a)), (name, r.choice, a)
+
+
+def test_local_values_read_the_thick_edge_slots():
+    for name, r in _every_vertex():
+        state = tuple(range(len(r.thin_edges)))  # distinct labels: no misread hides
+        for thick in r.thick_edges:
+            c = r.diagram.crossings[thick.crossing]
+            expected = tuple(state[r.thin_edges.index(t)] for t in thick.slots)
+            assert r.local_values(state, c) == expected, (name, r.choice, c.id)

@@ -78,6 +78,11 @@ def test_generator_action_unknown_edge():
     r = resolve(parse_pd("U"), ())
     with pytest.raises(KeyError):
         generator_action(99, r, 2)
+    # arc 3 lies on the thin edge named by arc 1, so it names no thin edge
+    r = resolve(fixture("hopf_pos"), (0, 0))
+    assert r.thin_of(3) == 1
+    with pytest.raises(KeyError):
+        generator_action(3, r, 2)
 
 
 def test_generator_power_n_is_beta_power_n():
