@@ -75,22 +75,6 @@ def classify_local(values, bit: int) -> LocalType:
     return LocalType.TYPE4 if l1 == l2 else LocalType.TYPE3
 
 
-def _transfer_state(src: Resolution, dst: Resolution, state):
-    """Carry a state across resolutions by retaining every arc's label.
-
-    Returns None when some thin edge of ``dst`` would receive two different
-    labels (the ill-defined case that kills type 2 states).
-    """
-    out = [None] * len(dst.thin_edges)
-    for arc, i in dst.slot.items():
-        v = state[src.slot[arc]]
-        if out[i] is None:
-            out[i] = v
-        elif out[i] != v:
-            return None
-    return tuple(out)
-
-
 def _partners(src: Resolution, dst: Resolution, states, c: Crossing, bit: int, valid):
     """(state, partner) pairs across the cube edge that flips crossing c.
 
@@ -104,7 +88,7 @@ def _partners(src: Resolution, dst: Resolution, states, c: Crossing, bit: int, v
     for s in states:
         if classify_local(src.local_values(s, c), bit) is not want:
             continue
-        partner = _transfer_state(src, dst, s)
+        partner = dst.state_of(src.coloring(s))
         if partner is None or partner not in valid:
             raise InternalCheckError(
                 f"type {want.value} state {s} has no admissible partner "

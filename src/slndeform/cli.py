@@ -24,7 +24,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import product
 
@@ -75,9 +75,12 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        try:
+            self.beta = Fraction(self.beta)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DiagramError(f"invalid --beta {self.beta!r}: {exc}") from None
         if self.n < 2:
             raise DiagramError("--n must be >= 2")
-        self.beta = Fraction(self.beta)
         if self.beta == 0:
             raise DiagramError("--beta must be nonzero")
         if self.max_crossings <= 0 or self.max_raw_states <= 0:
@@ -358,43 +361,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, diagram=True):
+    def command(name, help, diagram=True, builds_complex=True):
+        """A subcommand; --beta and --max-crossings only where a complex is built."""
+        p = sub.add_parser(name, help=help)
         if diagram:
             p.add_argument("diagram", help="diagram file or bundled fixture name")
         p.add_argument("--n", type=int, default=2, help="order of the root of unity")
-        p.add_argument("--beta", default="1", help="nonzero rational deformation scale")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS)
-        p.add_argument("--max-raw-states", type=int, default=DEFAULT_MAX_RAW_STATES)
-        p.add_argument("--seed", type=int, default=0)
+        if builds_complex:
+            p.add_argument(
+                "--beta", default="1", help="nonzero rational deformation scale"
+            )
+        p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
+        if builds_complex:
+            p.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS)
+        return p
 
-    p = sub.add_parser("homology", help="three-way homology check")
-    common(p)
-    p = sub.add_parser("states", help="admissible states of one resolution")
-    common(p)
+    command("homology", "three-way homology check")
+    p = command("states", "admissible states of one resolution", builds_complex=False)
     p.add_argument("--resolution", required=True, help="bit string, one per crossing")
     p.add_argument("--list", action="store_true", help="list the states")
-    p = sub.add_parser("complex", help="chain dimensions and matrices")
-    common(p)
+    p = command("complex", "chain dimensions and matrices")
     p.add_argument("--matrices", action="store_true", help="dump sparse differentials")
-    p = sub.add_parser("verify", help="run the identity suites")
-    common(p, diagram=False)
+    p = command("verify", "run the identity suites", diagram=False)
+    p.add_argument("--max-raw-states", type=int, default=DEFAULT_MAX_RAW_STATES)
+    p.add_argument("--seed", type=int, default=0)
     return top
 
 
 def _config(args) -> RunConfig:
-    try:
-        beta = Fraction(args.beta)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DiagramError(f"invalid --beta {args.beta!r}: {exc}") from None
-    return RunConfig(
-        n=args.n,
-        beta=beta,
-        fmt=args.format,
-        max_crossings=args.max_crossings,
-        max_raw_states=args.max_raw_states,
-        seed=args.seed,
-    )
+    """RunConfig from the options the command accepts; the rest keep defaults."""
+    opts = vars(args)
+    names = [f.name for f in fields(RunConfig) if f.name in opts]
+    return RunConfig(**{name: opts[name] for name in names})
 
 
 def main(argv=None) -> int:

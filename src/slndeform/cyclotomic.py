@@ -116,17 +116,11 @@ class CycloField:
         self.phi = cyclotomic_polynomial(n)
         self.degree = len(self.phi) - 1
         # x^k mod Phi_n for k = 0 .. 2*(degree-1); used to fold products
-        self._xpow: list[tuple[Fraction, ...]] = []
-        for k in range(max(2 * self.degree - 1, 1)):
-            if k < self.degree:
-                row = [Fraction(0)] * self.degree
-                row[k] = Fraction(1)
-            else:
-                prev = self._xpow[k - 1]
-                shifted = [Fraction(0)] + list(prev[:-1])
-                top = prev[-1]
-                row = [shifted[i] - top * self.phi[i] for i in range(self.degree)]
-            self._xpow.append(tuple(row))
+        self._xpow: list[tuple[Fraction, ...]] = [
+            tuple(Fraction(int(i == k)) for i in range(self.degree))
+            for k in range(self.degree)
+        ]
+        self._pow_row(2 * self.degree - 2)
         self._root_cache: dict[int, CycloNumber] = {}
         self._zero_coeffs = tuple([Fraction(0)] * self.degree)
         self._zero = CycloNumber(self, self._zero_coeffs)

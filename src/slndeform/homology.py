@@ -5,6 +5,8 @@
   so it is block diagonal in the arc coloring of its basis elements; each
   block is ranked by exact sparse Gaussian elimination with sparsest-row
   pivoting, and an entry joining two colorings raises InternalCheckError.
+  The generators are the one-element blocks: the basis elements that no
+  nonzero entry of any differential touches.
 * ``closed_form``: the combinatorial answer -- one generator per coloring
   of the components by roots of unity, in degree given by the linking
   numbers of the preimage sublinks, n^l generators in total.
@@ -127,23 +129,16 @@ def _result(pairs) -> HomologyResult:
 # Closed form from linking numbers
 # ----------------------------------------------------------------------
 
-def _psi_degree(lk, psi) -> int:
-    """Sum of lk over ordered component pairs with distinct colors."""
-    l = len(psi)
-    return sum(
-        lk[i][j]
-        for i in range(l)
-        for j in range(l)
-        if i != j and psi[i] != psi[j]
-    )
-
-
 def closed_form(d: LinkDiagram, n: int) -> HomologyResult:
     """One generator per map {components} -> roots; n^l in total."""
     lk = linking_matrix(d)
     l = d.component_count
+    # a coloring's degree sums 2*lk over the linked pairs it colors apart
+    linked = [(i, j) for i in range(l) for j in range(i + 1, l) if lk[i][j]]
     gens = [
-        GeneratorDescriptor(degree=_psi_degree(lk, psi), psi=psi)
+        GeneratorDescriptor(
+            degree=sum(2 * lk[i][j] for i, j in linked if psi[i] != psi[j]), psi=psi
+        )
         for psi in product(range(n), repeat=l)
     ]
     return _result(gens)
@@ -163,8 +158,7 @@ def _block_rank(cx: DeformedComplex, k: int, entries: dict) -> int:
     sources, targets = cx.basis[k], cx.basis.get(k + 1, ())
 
     def coloring(el) -> tuple:
-        state = el.state
-        return tuple(state[i] for i in cx.resolutions[el.vertex].slot.values())
+        return cx.resolutions[el.vertex].coloring(el.state)
 
     # coloring -> (target -> row in the block, keys of the block's entries)
     blocks: dict[tuple, tuple[dict, list]] = {}
@@ -227,12 +221,19 @@ def compute_homology(cx: DeformedComplex) -> HomologyResult:
 
     dim H^k = dim C^k - rank(d_k) - rank(d_{k-1}), each rank summed over
     the arc-coloring blocks of d_k.  Generator descriptors are read off the
-    basis elements whose local types make them survive; ``cross_validate``
-    checks they account for every dimension.
+    one-element blocks, the basis elements that no nonzero entry of any
+    differential touches; ``cross_validate`` checks they account for every
+    dimension and match the survivor resolutions.
     """
     ranks = {
         k: _block_rank(cx, k, entries) for k, entries in cx.differentials.items()
     }
+    touched = {k: set() for k in cx.degrees}
+    for k, entries in cx.differentials.items():
+        for (t, s), v in entries.items():
+            if not v.is_zero:
+                touched[k].add(s)
+                touched[k + 1].add(t)
     dims = {}
     for k in cx.degrees:
         dim = len(cx.basis[k]) - ranks.get(k, 0) - ranks.get(k - 1, 0)
@@ -242,10 +243,9 @@ def compute_homology(cx: DeformedComplex) -> HomologyResult:
             dims[k] = dim
     gens = []
     for k in cx.degrees:
-        for el in cx.basis[k]:
-            r = cx.resolutions[el.vertex]
-            if _non_survivor(r, el.state) is None:
-                psi = _survivor_psi(r, el.state)
+        for i, el in enumerate(cx.basis[k]):
+            if i not in touched[k]:
+                psi = _survivor_psi(cx.resolutions[el.vertex], el.state)
                 gens.append(GeneratorDescriptor(degree=k, psi=psi))
     gens = tuple(sorted(gens))
     return HomologyResult(dims={k: dims[k] for k in sorted(dims)}, generators=gens)
@@ -260,10 +260,12 @@ def survivors_combinatorial(d: LinkDiagram, n: int) -> HomologyResult:
 
     Every coloring determines one resolution (0 where its strands agree, 1
     where they differ) and exactly one admissible state there; the induced
-    state is checked to be admissible and of the surviving types, which
+    state is checked to be well defined and of the surviving types, which
     would fail loudly if the local type rules were reconstructed wrongly.
+    Each distinct resolution is built once per call.
     """
     l = d.component_count
+    resolutions: dict[tuple, Resolution] = {}
     gens = []
     for psi in product(range(n), repeat=l):
         choice = tuple(
@@ -271,20 +273,17 @@ def survivors_combinatorial(d: LinkDiagram, n: int) -> HomologyResult:
             else 1
             for c in d.crossings
         )
-        r = resolve(d, choice)
-        state: list = [None] * len(r.thin_edges)
-        for arc in d.arcs:
-            v = psi[d.component_of(arc)]
-            i = r.slot[arc]
-            if state[i] is None:
-                state[i] = v
-            elif state[i] != v:
-                raise InternalCheckError(
-                    f"coloring {psi} induces an ill-defined state at choice {choice}"
-                )
-        for i in range(d.free_loops):
-            state[r.slot[-(i + 1)]] = psi[len(d.components) + i]
-        state = tuple(state)
+        r = resolutions.get(choice)
+        if r is None:
+            r = resolutions[choice] = resolve(d, choice)
+        # arcs, then free loops: the coloring that psi induces
+        state = r.state_of(
+            [psi[d.component_of(a)] for a in d.arcs] + list(psi[len(d.components):])
+        )
+        if state is None:
+            raise InternalCheckError(
+                f"coloring {psi} induces an ill-defined state at choice {choice}"
+            )
 
         failure = _non_survivor(r, state)
         if failure is not None:

@@ -343,9 +343,7 @@ def _g_coeff_terms(n: int) -> list[tuple[int, int, Fraction]]:
     return sorted((e[0], e[1], c) for e, c in g_poly(n).terms.items())
 
 
-def lemma_brute_check(
-    ctx: PotentialContext, max_n: int = LEMMA_MAX_N
-) -> LemmaReport:
+def lemma_brute_check(ctx: PotentialContext) -> LemmaReport:
     """Exhaustively verify the thick-edge equations against admissibility.
 
     Scans all n^4 tuples (l1, l2, l3, l4) of root labels, evaluates the four
@@ -361,8 +359,8 @@ def lemma_brute_check(
     expanded-sum form, never by dividing, so coincident points are fine.
     """
     n, beta = ctx.n, ctx.beta
-    if n > max_n:
-        raise ValueError(f"brute-force lemma check capped at n = {max_n}")
+    if n > LEMMA_MAX_N:
+        raise ValueError(f"brute-force lemma check capped at n = {LEMMA_MAX_N}")
     fld = CycloField(n)
     gterms = _g_coeff_terms(n)
     max_z = max(a for a, _, _ in gterms)

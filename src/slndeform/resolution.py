@@ -17,6 +17,11 @@ that layout: it maps every arc and free-loop id (arcs first, then loops)
 to the index of its label in a state.  Because every thin-edge id is the
 smallest arc of its class or a loop id, ``slot`` also maps thin-edge ids.
 ``local_values`` reads the four labels at a crossing through it.
+
+An arc coloring is the label of every arc and free loop, in ``slot`` order.
+The differential keeps it, so it keys the blocks of the complex.
+``coloring`` reads it off a state and ``state_of`` is the only way back:
+the state of this resolution carrying a coloring, if there is one.
 """
 
 from __future__ import annotations
@@ -56,6 +61,20 @@ class Resolution:
             state[slot[c.in_under]],
             state[slot[c.in_over]],
         )
+
+    def coloring(self, state) -> tuple:
+        """The label of every arc and free loop, in ``slot`` order."""
+        return tuple([state[i] for i in self.slot.values()])
+
+    def state_of(self, coloring):
+        """The state carrying ``coloring``; None if a thin edge gets two labels."""
+        out = [None] * len(self.thin_edges)
+        for i, v in zip(self.slot.values(), coloring):
+            if out[i] is None:
+                out[i] = v
+            elif out[i] != v:
+                return None
+        return tuple(out)
 
     def to_json(self) -> dict:
         return {

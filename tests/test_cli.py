@@ -4,6 +4,7 @@ import json
 from dataclasses import replace
 
 import jsonschema
+import pytest
 
 from slndeform import cli, homology
 from slndeform.cli import main
@@ -206,6 +207,13 @@ def test_states_json_schema(capsys):
     jsonschema.validate(payload, STATES_SCHEMA)
     assert payload["admissible_count"] == 4
     assert len(payload["states"]) == 4
+
+
+def test_states_rejects_options_it_does_not_read(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["states", "hopf_pos", "--resolution", "11", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_complex_json_schema(capsys):

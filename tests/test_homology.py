@@ -11,7 +11,10 @@ from slndeform.diagram import parse_pd
 from slndeform.errors import InternalCheckError
 from slndeform.fixtures import FIXTURES, fixture, fixture_names
 from slndeform.homology import (
+    GeneratorDescriptor,
     _block_rank,
+    _non_survivor,
+    _survivor_psi,
     closed_form,
     compute_homology,
     cross_validate,
@@ -198,6 +201,15 @@ def _assert_block_ranks_match(cx):
     for k, entries in cx.differentials.items():
         whole = matrix_rank(entries, len(cx.basis.get(k + 1, ())))
         assert _block_rank(cx, k, entries) == whole, k
+    # the generators, read off the untouched basis elements, are exactly
+    # the basis elements that pass the survivor rule
+    scan = []
+    for k in cx.degrees:
+        for el in cx.basis[k]:
+            r = cx.resolutions[el.vertex]
+            if _non_survivor(r, el.state) is None:
+                scan.append(GeneratorDescriptor(k, _survivor_psi(r, el.state)))
+    assert compute_homology(cx).generators == tuple(sorted(scan))
 
 
 @pytest.mark.parametrize("name", fixture_names())

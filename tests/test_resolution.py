@@ -7,6 +7,7 @@ import pytest
 from slndeform.diagram import parse_pd
 from slndeform.fixtures import fixture, fixture_names
 from slndeform.resolution import degree, p_parity, resolve
+from slndeform.states import enumerate_admissible
 
 TORUS_2_5 = "X[1,6,2,7] X[3,8,4,9] X[5,10,6,1] X[7,2,8,3] X[9,4,10,5]"
 
@@ -143,3 +144,22 @@ def test_local_values_read_the_thick_edge_slots():
             c = r.diagram.crossings[thick.crossing]
             expected = tuple(state[r.thin_edges.index(t)] for t in thick.slots)
             assert r.local_values(state, c) == expected, (name, r.choice, c.id)
+
+
+def test_state_of_inverts_coloring_on_every_admissible_state():
+    for name, r in _every_vertex():
+        for n in (3,) if name == "T(2,5)" else (2, 3):
+            for s in enumerate_admissible(r, n):
+                assert r.state_of(r.coloring(s)) == s, (name, r.choice, n, s)
+
+
+def test_state_of_rejects_two_labels_on_one_thin_edge():
+    r = resolve(fixture("hopf_pos"), (0, 0))
+    coloring = r.coloring((0,) * len(r.thin_edges))
+    # two arcs of one thin edge, told apart by the label of the second
+    keys = list(r.slot)
+    a = next(a for a in keys if a != r.thin_of(a))
+    broken = list(coloring)
+    broken[keys.index(a)] = 1
+    assert r.state_of(coloring) == (0,) * len(r.thin_edges)
+    assert r.state_of(broken) is None
