@@ -3,16 +3,28 @@
 Every scalar the engine touches lives here: eigenvalues beta*zeta^k of the
 edge generators, projector coefficients, and the entries of the chain
 differentials.  Elements are residues modulo the n-th cyclotomic polynomial
-Phi_n with Fraction coefficients, so arithmetic is exact and the quotient is
-a genuine field (Phi_n is irreducible over Q).  Working modulo x^n - 1
-instead would introduce zero divisors and break the nonvanishing arguments
-that the rank computations depend on.
+Phi_n, so arithmetic is exact and the quotient is a genuine field (Phi_n is
+irreducible over Q).  Working modulo x^n - 1 instead would introduce zero
+divisors and break the nonvanishing arguments that the rank computations
+depend on.
+
+An element is stored as integer numerators of 1, zeta, ..., zeta^(d-1) over
+one positive integer denominator, reduced so that the denominator and the
+numerators have no common factor; equal values therefore have equal
+storage.  Phi_n is monic with integer coefficients, so sums and products
+stay in the integers and each operation normalises once.  The inverse is
+read off the norm: 1/a is the product of the Galois conjugates sigma_k(a),
+k != 1 a unit mod n, divided by N(a), which is checked to be a nonzero
+rational.  ``coeffs`` gives the rational coefficients as Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+
+from .errors import InternalCheckError
 
 __all__ = [
     "cyclotomic_polynomial",
@@ -96,7 +108,12 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 # ----------------------------------------------------------------------
 
 class CycloField:
-    """Q(zeta_n), represented as Q[x] / Phi_n(x)."""
+    """Q(zeta_n), represented as Q[x] / Phi_n(x).
+
+    The arithmetic kernels take and return elements as ``(num, den)``: a
+    tuple of ``degree`` integer numerators and one positive integer
+    denominator, in canonical form (see ``_canon``).
+    """
 
     _instances: dict[int, "CycloField"] = {}
 
@@ -114,53 +131,56 @@ class CycloField:
             raise ValueError("n must be >= 1")
         self.n = n
         self.phi = cyclotomic_polynomial(n)
-        self.degree = len(self.phi) - 1
-        # x^k mod Phi_n for k = 0 .. 2*(degree-1); used to fold products
-        self._xpow: list[tuple[Fraction, ...]] = [
-            tuple(Fraction(int(i == k)) for i in range(self.degree))
-            for k in range(self.degree)
+        self.degree = d = len(self.phi) - 1
+        # x^k mod Phi_n for k = 0 .. 2*(degree-1); used to fold products.
+        # Phi_n is monic with integer coefficients, so the rows are integers.
+        self._xpow: list[tuple[int, ...]] = [
+            tuple(int(i == k) for i in range(d)) for k in range(d)
         ]
-        self._pow_row(2 * self.degree - 2)
+        self._pow_row(2 * d - 2)
+        # The Galois conjugations sigma_k: zeta -> zeta^k, one for each unit
+        # k != 1 mod n, each given by the rows x^i is sent to.  a times the
+        # product of its conjugates is the norm N(a), a rational.
+        self._conjugates = [
+            [self._pow_row(i * k % n) for i in range(d)]
+            for k in range(2, n)
+            if gcd(k, n) == 1
+        ]
         self._root_cache: dict[int, CycloNumber] = {}
-        self._zero_coeffs = tuple([Fraction(0)] * self.degree)
-        self._zero = CycloNumber(self, self._zero_coeffs)
-        self._one = CycloNumber(
-            self, tuple([Fraction(1)] + [Fraction(0)] * (self.degree - 1))
-        )
+        self._zero_num = (0,) * d
+        self._zero = CycloNumber(self, self._zero_num, 1)
+        self._one = CycloNumber(self, (1,) + self._zero_num[1:], 1)
         self._ready = True
 
     # -- constructors --------------------------------------------------
 
     def element(self, coeffs) -> "CycloNumber":
+        """sum_k coeffs[k] * zeta^k, for rational coefficients of any length."""
         vec = [Fraction(c) for c in coeffs]
-        if len(vec) > self.degree:
-            folded = [Fraction(0)] * self.degree
-            for k, c in enumerate(vec):
-                if c == 0:
-                    continue
-                if k < self.degree:
-                    folded[k] += c
-                else:
-                    row = self._pow_row(k)
-                    for i, r in enumerate(row):
-                        folded[i] += c * r
-            vec = folded
-        else:
-            vec = vec + [Fraction(0)] * (self.degree - len(vec))
-        return CycloNumber(self, tuple(vec))
+        den = lcm(*(c.denominator for c in vec))
+        ints = [c.numerator * (den // c.denominator) for c in vec]
+        d = self.degree
+        out = ints[:d] + [0] * (d - len(ints))
+        for k in range(d, len(ints)):
+            c = ints[k]
+            if c:
+                for i, r in enumerate(self._pow_row(k)):
+                    out[i] += c * r
+        return CycloNumber(self, *_canon(out, den))
 
-    def _pow_row(self, k: int) -> tuple[Fraction, ...]:
+    def _pow_row(self, k: int) -> tuple[int, ...]:
         while k >= len(self._xpow):
             prev = self._xpow[-1]
-            shifted = [Fraction(0)] + list(prev[:-1])
             top = prev[-1]
+            shifted = (0,) + prev[:-1]
             self._xpow.append(
                 tuple(shifted[i] - top * self.phi[i] for i in range(self.degree))
             )
         return self._xpow[k]
 
     def from_rational(self, value) -> "CycloNumber":
-        return self.element([Fraction(value)])
+        q = Fraction(value)
+        return CycloNumber(self, (q.numerator,) + self._zero_num[1:], q.denominator)
 
     @property
     def zero(self) -> "CycloNumber":
@@ -174,77 +194,102 @@ class CycloField:
         """zeta_n^k as a field element."""
         k %= self.n
         if k not in self._root_cache:
-            self._root_cache[k] = self.element(self._pow_row(k) if k else [1])
+            self._root_cache[k] = CycloNumber(self, self._pow_row(k), 1)
         return self._root_cache[k]
 
     # -- arithmetic kernels ---------------------------------------------
 
-    def _mul(self, a: tuple, b: tuple) -> tuple:
-        d = self.degree
-        if not (any(a) and any(b)):
-            return self._zero_coeffs
-        # a rational operand scales the other coefficient vector
+    def _add(self, a: tuple, da: int, b: tuple, db: int) -> tuple:
+        if da == db:
+            num = [x + y for x, y in zip(a, b)]
+            return (tuple(num), 1) if da == 1 else _canon(num, da)
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        return _canon([x * sa + y * sb for x, y in zip(a, b)], da * sa)
+
+    def _mul(self, a: tuple, da: int, b: tuple, db: int) -> tuple:
+        # a rational operand scales the other numerator vector
         if not any(b[1:]):
             a, b = b, a
         if not any(a[1:]):
             c = a[0]
-            return tuple(c * y for y in b)
-        conv = [Fraction(0)] * (2 * d - 1)
+            num = [c * y for y in b]
+        else:
+            num = self._fold_product(a, b)
+        den = da * db
+        return (tuple(num), 1) if den == 1 else _canon(num, den)
+
+    def _fold_product(self, a, b) -> list[int]:
+        """The integer product a*b mod Phi_n: convolve, then fold x^k, k >= d."""
+        d = self.degree
+        conv = [0] * (2 * d - 1)
         for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y != 0:
+            if x:
+                for j, y in enumerate(b):
                     conv[i + j] += x * y
-        out = list(conv[:d])
+        out = conv[:d]
         for k in range(d, 2 * d - 1):
             c = conv[k]
-            if c == 0:
-                continue
-            row = self._xpow[k]
-            for i, r in enumerate(row):
-                if r != 0:
+            if c:
+                for i, r in enumerate(self._xpow[k]):
                     out[i] += c * r
-        return tuple(out)
+        return out
 
-    def _inv(self, a: tuple) -> tuple:
+    def _inv(self, a: tuple, da: int) -> tuple:
+        """1/a = prod_{k != 1} sigma_k(a) / N(a), N(a) = a * prod sigma_k(a)."""
         if not any(a):
             raise ZeroDivisionError("inversion of zero in Q(zeta_n)")
         if not any(a[1:]):
-            return (Fraction(1) / a[0],) + a[1:]
-        # extended Euclid on (a, phi) over Q[x]
-        r0 = _poly_trim(list(a))
-        r1 = [Fraction(c) for c in self.phi]
-        s0, s1 = [Fraction(1)], []
-        while r1:
-            q, r = _poly_divmod_exact(r0, r1)
-            qs = _poly_mul(q, s1) if s1 else []
-            news = [Fraction(0)] * max(len(s0), len(qs))
-            for i, c in enumerate(s0):
-                news[i] += c
-            for i, c in enumerate(qs):
-                news[i] -= c
-            s0, s1 = s1, _poly_trim(news)
-            r0, r1 = r1, r
-        # r0 is the gcd: a nonzero constant since phi is irreducible
-        if len(r0) != 1:
-            raise ZeroDivisionError("element not invertible modulo Phi_n")
-        scale = Fraction(1) / r0[0]
-        vec = [c * scale for c in s0]
-        return tuple((vec + [Fraction(0)] * self.degree)[: self.degree])
+            c = a[0]
+            return ((da if c > 0 else -da,) + a[1:], abs(c))
+        cofactor = None
+        for rows in self._conjugates:
+            conj = [0] * self.degree
+            for x, row in zip(a, rows):
+                if x:
+                    for i, r in enumerate(row):
+                        conj[i] += x * r
+            cofactor = conj if cofactor is None else self._fold_product(cofactor, conj)
+        norm = self._fold_product(a, cofactor)
+        if any(norm[1:]) or not norm[0]:
+            raise InternalCheckError(
+                f"norm of {a} in Q(zeta_{self.n}) is {norm}, not a nonzero rational"
+            )
+        den = norm[0]
+        if den < 0:
+            den, da = -den, -da
+        return _canon([da * c for c in cofactor], den)
 
     def __repr__(self):
         return f"CycloField(n={self.n})"
 
 
+def _canon(num: list, den: int) -> tuple:
+    """``(num, den)`` divided by gcd(den, *num): zero becomes (0, ..., 0)/1."""
+    g = gcd(den, *num)
+    if g != 1:
+        return tuple([x // g for x in num]), den // g
+    return tuple(num), den
+
+
 class CycloNumber:
-    """An element of Q(zeta_n) in canonical reduced form."""
+    """An element of Q(zeta_n): sum_k num[k] * zeta^k / den.
 
-    __slots__ = ("field", "coeffs")
+    The form is canonical (``den > 0``, ``gcd(den, *num) == 1``), so equal
+    values have equal ``(num, den)``.  Build elements through ``CycloField``.
+    """
 
-    def __init__(self, field: CycloField, coeffs: tuple):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: CycloField, num: tuple, den: int = 1):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients of 1, zeta, ..., zeta^(degree-1)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- coercion -------------------------------------------------------
 
@@ -263,25 +308,26 @@ class CycloNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not any(self.coeffs):
+        if not any(self.num):
             return o
-        if not any(o.coeffs):
+        if not any(o.num):
             return self
         return CycloNumber(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
+            self.field, *self.field._add(self.num, self.den, o.num, o.den)
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNumber(self.field, tuple(-a for a in self.coeffs))
+        return CycloNumber(self.field, tuple([-a for a in self.num]), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return CycloNumber(
-            self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs))
+            self.field,
+            *self.field._add(self.num, self.den, tuple([-b for b in o.num]), o.den),
         )
 
     def __rsub__(self, other):
@@ -294,12 +340,14 @@ class CycloNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloNumber(self.field, self.field._mul(self.coeffs, o.coeffs))
+        return CycloNumber(
+            self.field, *self.field._mul(self.num, self.den, o.num, o.den)
+        )
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycloNumber":
-        return CycloNumber(self.field, self.field._inv(self.coeffs))
+        return CycloNumber(self.field, *self.field._inv(self.num, self.den))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -334,23 +382,23 @@ class CycloNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
         return hash((self.field.n, self.coeffs))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def as_rational(self) -> Fraction:
         """The value as a rational, if it lies in the prime field."""
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- rendering ---------------------------------------------------------
 

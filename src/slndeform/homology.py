@@ -119,8 +119,13 @@ class HomologyResult:
         }
 
 
+def _by_degree_psi(g: GeneratorDescriptor) -> tuple:
+    """The dataclass order, without building two tuples per comparison."""
+    return g.degree, g.psi
+
+
 def _result(pairs) -> HomologyResult:
-    gens = tuple(sorted(pairs))
+    gens = tuple(sorted(pairs, key=_by_degree_psi))
     dims = Counter(g.degree for g in gens)
     return HomologyResult(dims=dict(sorted(dims.items())), generators=gens)
 
@@ -247,7 +252,7 @@ def compute_homology(cx: DeformedComplex) -> HomologyResult:
             if i not in touched[k]:
                 psi = _survivor_psi(cx.resolutions[el.vertex], el.state)
                 gens.append(GeneratorDescriptor(degree=k, psi=psi))
-    gens = tuple(sorted(gens))
+    gens = tuple(sorted(gens, key=_by_degree_psi))
     return HomologyResult(dims={k: dims[k] for k in sorted(dims)}, generators=gens)
 
 

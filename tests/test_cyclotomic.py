@@ -1,12 +1,14 @@
 """Exact field arithmetic in Q(zeta_n)."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from slndeform.cyclotomic import CycloField, cyclotomic_polynomial, root
+from slndeform.errors import InternalCheckError
 
 
 def test_first_cyclotomic_polynomials():
@@ -120,8 +122,8 @@ def test_rational_extraction_and_rendering():
 # ----------------------------------------------------------------------
 # A rational operand is scaled into the other coefficient vector and a
 # rational is inverted as 1/c.  The general convolve-and-fold product and
-# extended-Euclid inverse are reached through operands with a nonzero
-# zeta coefficient; at n = 2 the field is Q and every operand is rational.
+# norm inverse are reached through operands with a nonzero zeta
+# coefficient; at n = 2 the field is Q and every operand is rational.
 
 RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -165,3 +167,123 @@ def test_rational_inverse_matches_extended_euclid(n, r):
     assert inverse.coeffs == (1 / r,) + (Fraction(0),) * (fld.degree - 1)
     assert all(isinstance(c, Fraction) for c in inverse.coeffs)
     assert inverse * rational == 1
+
+
+# ----------------------------------------------------------------------
+# Field arithmetic against sympy, and the canonical form
+# ----------------------------------------------------------------------
+# Elements are integer numerators over one positive denominator with no
+# common factor.  Sums, differences, products and inverses are compared
+# with sympy's arithmetic in Q[x] modulo Phi_n, on coefficient vectors
+# longer than the degree (so element() folds them) and with small, large
+# and unequal denominators.
+
+X = sympy.Symbol("x")
+LARGE_RATIONALS = st.builds(
+    Fraction,
+    st.integers(min_value=-10**18, max_value=10**18),
+    st.integers(min_value=1, max_value=10**15),
+)
+ANY_RATIONALS = st.one_of(st.just(Fraction(0)), RATIONALS, LARGE_RATIONALS)
+
+
+def _assert_canonical(a):
+    assert all(type(c) is int for c in a.num) and type(a.den) is int
+    assert len(a.num) == a.field.degree
+    assert a.den > 0 and gcd(a.den, *a.num) == 1
+    if a.is_zero:
+        assert a.num == (0,) * a.field.degree and a.den == 1
+    assert hash(a) == hash((a.field.n, a.coeffs))
+
+
+def _sympy_poly(vec):
+    """A coefficient list, low degree first, as a sympy polynomial over QQ."""
+    terms = [sympy.Rational(c.numerator, c.denominator) for c in reversed(vec)]
+    return sympy.Poly(terms, X, domain="QQ")
+
+
+def _sympy_phi(n):
+    return sympy.Poly(sympy.cyclotomic_poly(n, X), X, domain="QQ")
+
+
+def _sympy_coeffs(p, n):
+    """The coefficients of p mod Phi_n, low degree first, as Fractions."""
+    phi = _sympy_phi(n)
+    rem = [Fraction(int(c.p), int(c.q)) for c in reversed(p.rem(phi).all_coeffs())]
+    return tuple(rem + [Fraction(0)] * (phi.degree() - len(rem)))
+
+
+@st.composite
+def field_and_two_vectors(draw):
+    """Q(zeta_n), n = 2..12, and two rational vectors of up to 2*degree entries."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    size = st.integers(min_value=1, max_value=2 * CycloField(n).degree)
+    u = draw(st.lists(ANY_RATIONALS, min_size=1, max_size=draw(size)))
+    v = draw(st.lists(ANY_RATIONALS, min_size=1, max_size=draw(size)))
+    return n, u, v
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(field_and_two_vectors())
+def test_arithmetic_matches_sympy(nuv):
+    n, u, v = nuv
+    fld = CycloField(n)
+    a, b = fld.element(u), fld.element(v)
+    pa, pb = _sympy_poly(u), _sympy_poly(v)
+    assert a.coeffs == _sympy_coeffs(pa, n)
+    assert b.coeffs == _sympy_coeffs(pb, n)
+    results = {
+        "sum": (a + b, pa + pb),
+        "difference": (a - b, pa - pb),
+        "product": (a * b, pa * pb),
+    }
+    for name, (ours, theirs) in results.items():
+        _assert_canonical(ours)
+        assert ours.coeffs == _sympy_coeffs(theirs, n), name
+    for x, px in ((a, pa), (b, pb)):
+        _assert_canonical(x)
+        if x.is_zero:
+            continue
+        inverse = x.inv()
+        _assert_canonical(inverse)
+        assert inverse.coeffs == _sympy_coeffs(px.invert(_sympy_phi(n)), n)
+    _assert_canonical(a - a)
+    assert (a - a).num == (0,) * fld.degree and (a - a).den == 1
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(field_and_two_vectors(), ANY_RATIONALS.filter(bool))
+def test_equal_values_built_two_ways_are_equal_and_hash_equal(nuv, r):
+    n, u, v = nuv
+    fld = CycloField(n)
+    a, b = fld.element(u), fld.element(v)
+    pairs = [
+        (fld.element([c * r for c in u]), a * r),
+        (a * b, b * a),
+        ((a + b) - b, a),
+        (a + r, r + a),
+    ]
+    if not a.is_zero:
+        pairs.append((a.inv().inv(), a))
+        pairs.append(((a * b) / a, b))
+    for x, y in pairs:
+        _assert_canonical(x)
+        _assert_canonical(y)
+        assert x == y and (x.num, x.den) == (y.num, y.den)
+        assert hash(x) == hash(y)
+
+
+def test_half_sum_built_two_ways():
+    for n in range(2, 13):
+        fld = CycloField(n)
+        x = fld.element([Fraction(1, 2), Fraction(1, 2)])
+        y = fld.element([1, 1]) * Fraction(1, 2)
+        assert x == y and hash(x) == hash(y) == hash((n, x.coeffs))
+        assert x.den == 2 or fld.degree == 1
+
+
+def test_norm_that_is_not_rational_raises(monkeypatch):
+    fld = CycloField(5)
+    monkeypatch.setattr(fld, "_conjugates", fld._conjugates[:-1])
+    with pytest.raises(InternalCheckError):
+        (fld.root(1) + 2).inv()
