@@ -15,13 +15,18 @@ basis; ``rescale_basis`` exists precisely to exercise that claim.  Standard
 alternating cube signs (parity of the 1-bits before the flipped crossing)
 make the squares anticommute, and ``check_d_squared`` verifies d o d = 0 by
 exact arithmetic.
+
+The differential keeps every arc's label, so the complex splits into one
+block per arc coloring.  ``build_complex`` colours each touched basis
+element once, to find its partners and to record its block in ``block_of``;
+d o d and the ranks run block by block over ``DeformedComplex.blocks``.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
@@ -75,20 +80,24 @@ def classify_local(values, bit: int) -> LocalType:
     return LocalType.TYPE4 if l1 == l2 else LocalType.TYPE3
 
 
-def _partners(src: Resolution, dst: Resolution, states, c: Crossing, bit: int, valid):
+def _partners(
+    src: Resolution, dst: Resolution, states, c: Crossing, bit: int, valid,
+    coloring=None,
+):
     """(state, partner) pairs across the cube edge that flips crossing c.
 
     ``bit`` is c's bit in ``src``: type 3 states match from the 0-side and
     type 1 states from the 1-side; every other state maps to zero.  The
-    partner retains every arc's label and must lie in ``valid``, the
-    admissible states of ``dst``; a missing partner raises
-    InternalCheckError.
+    partner retains every arc's label, read through ``coloring`` (by
+    default ``src.coloring``), and must lie in ``valid``, the admissible
+    states of ``dst``; a missing partner raises InternalCheckError.
     """
     want = LocalType.TYPE3 if bit == 0 else LocalType.TYPE1
+    coloring = coloring or src.coloring
     for s in states:
         if classify_local(src.local_values(s, c), bit) is not want:
             continue
-        partner = dst.state_of(src.coloring(s))
+        partner = dst.state_of(coloring(s))
         if partner is None or partner not in valid:
             raise InternalCheckError(
                 f"type {want.value} state {s} has no admissible partner "
@@ -135,7 +144,11 @@ class ChainBasisElement:
 
 @dataclass
 class DeformedComplex:
-    """Basis lists per degree plus sparse differentials over Q(zeta_n)."""
+    """Basis lists per degree plus sparse differentials over Q(zeta_n).
+
+    ``block_of`` gives each basis element its arc-coloring block id, or
+    None if no entry touches it.
+    """
 
     diagram: LinkDiagram
     n: int
@@ -145,6 +158,7 @@ class DeformedComplex:
     degrees: tuple[int, ...]
     basis: dict[int, tuple[ChainBasisElement, ...]]
     differentials: dict[int, dict[tuple[int, int], CycloNumber]]
+    block_of: dict[int, tuple]
 
     def dims(self) -> dict[int, int]:
         return {k: len(self.basis[k]) for k in self.degrees}
@@ -152,35 +166,52 @@ class DeformedComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** (k % 2) * len(b) for k, b in self.basis.items())
 
+    def blocks(self) -> dict[int, dict[int, dict[tuple[int, int], CycloNumber]]]:
+        """The nonzero entries, as block id -> degree k -> {(target, source): value}.
+
+        Indices stay those of the whole bases.  An entry whose two ends lie
+        in different blocks (or in none) raises InternalCheckError.
+        """
+        out: dict[int, dict[int, dict]] = {}
+        for k, entries in self.differentials.items():
+            sources, targets = self.block_of[k], self.block_of.get(k + 1, ())
+            for (t, s), v in entries.items():
+                if v.is_zero:
+                    continue
+                b = sources[s]
+                if b is None or targets[t] != b:
+                    raise InternalCheckError(
+                        f"d_{k} entry joins {self.basis[k][s]} and "
+                        f"{self.basis[k + 1][t]} across arc colorings"
+                    )
+                out.setdefault(b, {}).setdefault(k, {})[t, s] = v
+        return out
+
     def check_d_squared(self):
         """First nonzero entry of d o d, or None if the complex is honest.
 
-        A failure names the offending square: (degree, source basis element,
-        target basis element, value).
+        d o d is composed one arc-coloring block at a time.  A failure names
+        the square with the smallest (degree, target, source): (degree,
+        source basis element, target basis element, value).
         """
-        for k in self.degrees:
-            first = self.differentials.get(k)
-            second = self.differentials.get(k + 1)
-            if not first or not second:
-                continue
-            by_source: dict[int, list[tuple[int, CycloNumber]]] = {}
-            for (t, s), v in sorted(second.items()):
-                by_source.setdefault(s, []).append((t, v))
-            composite: dict[tuple[int, int], CycloNumber] = {}
-            for (mid, src), v1 in sorted(first.items()):
-                for tgt, v2 in by_source.get(mid, ()):
-                    key = (tgt, src)
-                    cur = composite.get(key)
-                    composite[key] = v2 * v1 if cur is None else cur + v2 * v1
-            for (tgt, src) in sorted(composite):
-                if not composite[(tgt, src)].is_zero:
-                    return (
-                        k,
-                        self.basis[k][src],
-                        self.basis[k + 2][tgt],
-                        composite[(tgt, src)],
-                    )
-        return None
+        failures = {}
+        for per_degree in self.blocks().values():
+            for k, first in per_degree.items():
+                by_source: dict[int, list[tuple[int, CycloNumber]]] = {}
+                for (t, s), v in per_degree.get(k + 1, {}).items():
+                    by_source.setdefault(s, []).append((t, v))
+                composite: dict[tuple[int, int], CycloNumber] = {}
+                for (mid, src), v1 in first.items():
+                    for tgt, v2 in by_source.get(mid, ()):
+                        cur = composite.get((tgt, src))
+                        composite[tgt, src] = v2 * v1 if cur is None else cur + v2 * v1
+                failures.update(
+                    ((k, t, s), v) for (t, s), v in composite.items() if not v.is_zero
+                )
+        if not failures:
+            return None
+        k, tgt, src = min(failures)
+        return k, self.basis[k][src], self.basis[k + 2][tgt], failures[k, tgt, src]
 
     def matrices_json(self) -> dict:
         out = {}
@@ -221,35 +252,54 @@ def build_complex(
             index[s] = len(column)
             column.append(ChainBasisElement(vertex=v, state=s, degree=vdeg[v]))
 
+    # arc coloring -> block id, and back; each element is coloured at most once
+    block_ids: dict[tuple, int] = {}
+    colorings: list[tuple] = []
+    block_of = {k_: [None] * len(b) for k_, b in basis.items()}
+
+    def block(k_: int, i: int, r: Resolution, state) -> int:
+        ids = block_of[k_]
+        if ids[i] is None:
+            coloring = r.coloring(state)
+            ids[i] = block_ids.setdefault(coloring, len(colorings))
+            if ids[i] == len(colorings):
+                colorings.append(coloring)
+        return ids[i]
+
     differentials: dict[int, dict[tuple[int, int], CycloNumber]] = {}
     one = field.one
     for v in vertices:
+        kv, rv, src_index = vdeg[v], resolutions[v], locator[v]
         for ci, c in enumerate(d.crossings):
             src_bit = 0 if c.sign > 0 else 1
             if v[ci] != src_bit:
                 continue
             w = tuple(b ^ 1 if i == ci else b for i, b in enumerate(v))
-            cube_sign = (-1) ** sum(v[:ci])
-            coeff = one * cube_sign
-            block = differentials.setdefault(vdeg[v], {})
-            src_index, tgt_index = locator[v], locator[w]
+            rw, tgt_index = resolutions[w], locator[w]
+            coeff = one * (-1) ** sum(v[:ci])
+            entries = differentials.setdefault(kv, {})
             for s, target in _partners(
-                resolutions[v], resolutions[w], states[v], c, src_bit, tgt_index
+                rv, rw, states[v], c, src_bit, tgt_index,
+                lambda s: colorings[block(kv, src_index[s], rv, s)],
             ):
                 key = (tgt_index[target], src_index[s])
-                cur = block.get(key)
-                block[key] = coeff if cur is None else cur + coeff
+                if block(kv + 1, key[0], rw, target) != block_of[kv][key[1]]:
+                    raise InternalCheckError(
+                        f"state {s} at {v} is matched across crossing {c.id} "
+                        f"with {target} at {w}, of another arc coloring"
+                    )
+                entries[key] = coeff  # one crossing joins a source to a target
 
-    degrees = tuple(sorted(basis))
     return DeformedComplex(
         diagram=d,
         n=n,
         beta=beta,
         field=field,
         resolutions=resolutions,
-        degrees=degrees,
+        degrees=tuple(sorted(basis)),
         basis={k_: tuple(b) for k_, b in basis.items()},
         differentials=differentials,
+        block_of={k_: tuple(b) for k_, b in block_of.items()},
     )
 
 
@@ -283,13 +333,4 @@ def rescale_with(cx: DeformedComplex, scalars: dict[int, list]) -> DeformedCompl
         new_diff[k] = {
             (t, s): target[t] * v * inverse[s] for (t, s), v in entries.items()
         }
-    return DeformedComplex(
-        diagram=cx.diagram,
-        n=cx.n,
-        beta=cx.beta,
-        field=cx.field,
-        resolutions=cx.resolutions,
-        degrees=cx.degrees,
-        basis=cx.basis,
-        differentials=new_diff,
-    )
+    return replace(cx, differentials=new_diff)

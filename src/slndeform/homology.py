@@ -1,12 +1,11 @@
 """Homology of the deformed complex, three ways, and their reconciliation.
 
 * ``compute_homology``: exact kernel/image ranks of the differentials over
-  Q(zeta_n).  Every differential keeps the label on each arc and free loop,
-  so it is block diagonal in the arc coloring of its basis elements; each
-  block is ranked by exact sparse Gaussian elimination with sparsest-row
-  pivoting, and an entry joining two colorings raises InternalCheckError.
-  The generators are the one-element blocks: the basis elements that no
-  nonzero entry of any differential touches.
+  Q(zeta_n).  The complex carries its arc-coloring blocks
+  (``DeformedComplex.blocks``); each block of each d_k is ranked by exact
+  sparse Gaussian elimination with sparsest-row pivoting.  The generators
+  are the one-element blocks: the basis elements that no nonzero entry of
+  any differential touches, marked None in ``block_of``.
 * ``closed_form``: the combinatorial answer -- one generator per coloring
   of the components by roots of unity, in degree given by the linking
   numbers of the preimage sublinks, n^l generators in total.
@@ -153,44 +152,6 @@ def closed_form(d: LinkDiagram, n: int) -> HomologyResult:
 # Linear algebra on the complex
 # ----------------------------------------------------------------------
 
-def _block_rank(cx: DeformedComplex, k: int, entries: dict) -> int:
-    """Rank of d_k as the sum of the ranks of its arc-coloring blocks.
-
-    A nonzero entry belongs to the block of its source's arc coloring and
-    must have a target of the same coloring.  Colorings are computed only
-    for the basis elements some entry touches, once each.
-    """
-    sources, targets = cx.basis[k], cx.basis.get(k + 1, ())
-
-    def coloring(el) -> tuple:
-        return cx.resolutions[el.vertex].coloring(el.state)
-
-    # coloring -> (target -> row in the block, keys of the block's entries)
-    blocks: dict[tuple, tuple[dict, list]] = {}
-    source_block: dict[int, tuple[dict, list]] = {}
-    for key, v in entries.items():
-        if v.is_zero:
-            continue
-        t, s = key
-        block = source_block.get(s)
-        if block is None:
-            block = blocks.setdefault(coloring(sources[s]), ({}, []))
-            source_block[s] = block
-        rows, keys = block
-        if t not in rows:
-            if blocks.get(coloring(targets[t])) is not block:
-                raise InternalCheckError(
-                    f"d_{k} entry joins {sources[s]} and {targets[t]} across arc "
-                    f"colorings {coloring(sources[s])} and {coloring(targets[t])}"
-                )
-            rows[t] = len(rows)
-        keys.append(key)
-    return sum(
-        matrix_rank({(rows[t], s): entries[t, s] for t, s in keys}, len(rows))
-        for rows, keys in blocks.values()
-    )
-
-
 def _survivor_psi(r: Resolution, state) -> tuple[int, ...]:
     """Convert a survivor state (constant per component) to a coloring."""
     d = r.diagram
@@ -225,35 +186,31 @@ def compute_homology(cx: DeformedComplex) -> HomologyResult:
     """Per-degree dimensions by exact rank computation.
 
     dim H^k = dim C^k - rank(d_k) - rank(d_{k-1}), each rank summed over
-    the arc-coloring blocks of d_k.  Generator descriptors are read off the
-    one-element blocks, the basis elements that no nonzero entry of any
-    differential touches; ``cross_validate`` checks they account for every
-    dimension and match the survivor resolutions.
+    the arc-coloring blocks of d_k; a block's rows are the targets its
+    entries reach.  Generator descriptors are read off the elements of no
+    block; ``cross_validate`` checks they account for every dimension and
+    match the survivor resolutions.
     """
-    ranks = {
-        k: _block_rank(cx, k, entries) for k, entries in cx.differentials.items()
-    }
-    touched = {k: set() for k in cx.degrees}
-    for k, entries in cx.differentials.items():
-        for (t, s), v in entries.items():
-            if not v.is_zero:
-                touched[k].add(s)
-                touched[k + 1].add(t)
+    ranks = Counter()
+    for per_degree in cx.blocks().values():
+        for k, d_k in per_degree.items():
+            rows: dict[int, int] = {}  # target -> row, in order of first use
+            block = {(rows.setdefault(t, len(rows)), s): v for (t, s), v in d_k.items()}
+            ranks[k] += matrix_rank(block, len(rows))
     dims = {}
     for k in cx.degrees:
-        dim = len(cx.basis[k]) - ranks.get(k, 0) - ranks.get(k - 1, 0)
+        dim = len(cx.basis[k]) - ranks[k] - ranks[k - 1]
         if dim < 0:
             raise InternalCheckError(f"negative homology dimension in degree {k}")
         if dim:
             dims[k] = dim
-    gens = []
-    for k in cx.degrees:
-        for i, el in enumerate(cx.basis[k]):
-            if i not in touched[k]:
-                psi = _survivor_psi(cx.resolutions[el.vertex], el.state)
-                gens.append(GeneratorDescriptor(degree=k, psi=psi))
-    gens = tuple(sorted(gens, key=_by_degree_psi))
-    return HomologyResult(dims={k: dims[k] for k in sorted(dims)}, generators=gens)
+    gens = sorted(
+        (GeneratorDescriptor(k, _survivor_psi(cx.resolutions[el.vertex], el.state))
+         for k in cx.degrees
+         for el, b in zip(cx.basis[k], cx.block_of[k]) if b is None),
+        key=_by_degree_psi,
+    )
+    return HomologyResult(dims=dims, generators=tuple(gens))
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from slndeform.diagram import parse_pd
 from slndeform.errors import InternalCheckError, SizeBoundError
 from slndeform.fixtures import fixture, fixture_names
 from slndeform.homology import compute_homology
-from slndeform.resolution import resolve
+from slndeform.resolution import Resolution, resolve
 from slndeform.states import enumerate_admissible
 
 
@@ -79,6 +79,24 @@ def test_missing_partner_is_detected_and_names_the_crossing():
     states0 = enumerate_admissible(r0, 2)
     with pytest.raises(InternalCheckError, match="crossing 0"):
         list(_partners(r0, r1, states0, d.crossings[0], 0, set()))
+
+
+def test_partner_of_another_arc_coloring_is_rejected(monkeypatch):
+    # an admissible partner that does not keep the labels passes the
+    # ``valid`` check and must still be caught while the complex is built
+    n = 2
+    original = Resolution.state_of
+    admissible = {}
+
+    def next_admissible(self, coloring):
+        valid = admissible.get(self.choice)
+        if valid is None:
+            valid = admissible[self.choice] = enumerate_admissible(self, n)
+        return valid[(valid.index(original(self, coloring)) + 1) % len(valid)]
+
+    monkeypatch.setattr(Resolution, "state_of", next_admissible)
+    with pytest.raises(InternalCheckError, match="another arc coloring"):
+        build_complex(fixture("hopf_pos"), n)
 
 
 def test_matched_pairs_validates_vertices():
@@ -200,6 +218,43 @@ def test_injected_sign_flip_is_detected_and_named():
     assert degree == 0
     assert src_el.degree == 0 and tgt_el.degree == 2
     assert not residue.is_zero
+
+
+def _whole_degree_failures(cx):
+    """Every nonzero entry of d o d, composed from whole degree matrices."""
+    failures = {}
+    for k, first in cx.differentials.items():
+        second = cx.differentials.get(k + 1, {})
+        composite = {}
+        for (mid, src), v1 in first.items():
+            for (tgt, mid2), v2 in second.items():
+                if mid2 == mid:
+                    cur = composite.get((tgt, src), cx.field.zero)
+                    composite[tgt, src] = cur + v2 * v1
+        for (tgt, src), v in composite.items():
+            if not v.is_zero:
+                failures[k, tgt, src] = v
+    return failures
+
+
+def test_d_squared_failure_is_the_smallest_square_over_all_blocks():
+    cx = build_complex(fixture("figure_eight"), 2)
+    blocks = cx.blocks()
+    first = next(iter(blocks))
+    later = next(b for b in blocks if min(blocks[b]) < min(blocks[first]))
+    # break d o d in the block composed first at its top degree, and in a
+    # later block at a lower degree
+    for b, k in ((first, max(blocks[first])), (later, min(blocks[later]))):
+        key = min(blocks[b][k])
+        cx.differentials[k][key] = -cx.differentials[k][key]
+    failures = _whole_degree_failures(cx)
+    assert len({k for k, _, _ in failures}) >= 2
+    assert len({cx.block_of[k][s] for k, _, s in failures}) >= 2
+    k, tgt, src = min(failures)
+    assert cx.block_of[k][src] == later
+    assert cx.check_d_squared() == (
+        k, cx.basis[k][src], cx.basis[k + 2][tgt], failures[k, tgt, src]
+    )
 
 
 def test_basis_ordering_contract():

@@ -1,5 +1,6 @@
 """The three homology computations and their exact agreement."""
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,12 +8,11 @@ import pytest
 
 from slndeform.chain import build_complex, rescale_basis
 from slndeform.cyclotomic import CycloField
-from slndeform.diagram import parse_pd
+from slndeform.diagram import parse, parse_pd
 from slndeform.errors import InternalCheckError
 from slndeform.fixtures import FIXTURES, fixture, fixture_names
 from slndeform.homology import (
     GeneratorDescriptor,
-    _block_rank,
     _non_survivor,
     _survivor_psi,
     closed_form,
@@ -198,9 +198,15 @@ def test_homology_result_json():
 # ----------------------------------------------------------------------
 
 def _assert_block_ranks_match(cx):
+    block_sums = Counter()
+    for per_degree in cx.blocks().values():
+        for k, entries in per_degree.items():
+            rows = {t: i for i, t in enumerate(sorted({t for t, _ in entries}))}
+            block = {(rows[t], s): v for (t, s), v in entries.items()}
+            block_sums[k] += matrix_rank(block, len(rows))
     for k, entries in cx.differentials.items():
         whole = matrix_rank(entries, len(cx.basis.get(k + 1, ())))
-        assert _block_rank(cx, k, entries) == whole, k
+        assert block_sums[k] == whole, k
     # the generators, read off the untouched basis elements, are exactly
     # the basis elements that pass the survivor rule
     scan = []
@@ -250,6 +256,48 @@ def test_entry_joining_two_arc_colorings_is_rejected():
     broken = replace(cx, differentials={**cx.differentials, k: moved})
     with pytest.raises(InternalCheckError, match="arc colorings"):
         compute_homology(broken)
+    with pytest.raises(InternalCheckError, match="arc colorings"):
+        broken.check_d_squared()
+
+
+PARTITION_CASES = [
+    pytest.param(FIXTURES[name], n, id=f"{name}-{n}")
+    for name in fixture_names()
+    for n in (2, 3)
+] + [
+    pytest.param(TORUS_2_3, 3, id="T(2,3)-3"),
+    pytest.param(TORUS_2_5, 3, id="T(2,5)-3"),
+]
+
+
+@pytest.mark.parametrize("code,n", PARTITION_CASES)
+def test_block_of_is_the_arc_coloring_partition(code, n):
+    cx = build_complex(parse(code), n)
+    touched = {k: set() for k in cx.degrees}
+    for k, entries in cx.differentials.items():
+        for (t, s), v in entries.items():
+            if not v.is_zero:
+                touched[k].add(s)
+                touched[k + 1].add(t)
+    block_of_coloring = {}
+    for k in cx.degrees:
+        assert len(cx.block_of[k]) == len(cx.basis[k])
+        for i, (el, b) in enumerate(zip(cx.basis[k], cx.block_of[k])):
+            assert (b is None) == (i not in touched[k]), (k, el)
+            if b is not None:
+                coloring = cx.resolutions[el.vertex].coloring(el.state)
+                assert block_of_coloring.setdefault(coloring, b) == b, (k, el)
+    # equal colorings share a block id, and distinct colorings never do
+    assert len(set(block_of_coloring.values())) == len(block_of_coloring)
+
+    rescaled = rescale_basis(cx, seed=n)
+    assert rescaled.block_of == cx.block_of
+
+    def shape(c):
+        blocks = c.blocks()
+        return {(b, k, key) for b in blocks for k in blocks[b] for key in blocks[b][k]}
+
+    assert shape(rescaled) == shape(cx)
 
 
 def test_kink_beside_five_unknots_cross_validates():
