@@ -94,11 +94,11 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
             den = _poly_mul(den, list(cyclotomic_polynomial(d)))
     quot, rem = _poly_divmod_exact(num, den)
     if rem:
-        raise RuntimeError(f"inexact division while computing Phi_{n}")
+        raise InternalCheckError(f"inexact division while computing Phi_{n}")
     coeffs = []
     for c in quot:
         if c.denominator != 1:
-            raise RuntimeError(f"non-integer coefficient in Phi_{n}")
+            raise InternalCheckError(f"non-integer coefficient in Phi_{n}")
         coeffs.append(int(c))
     return tuple(coeffs)
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import Crossing, LinkDiagram
+from .errors import InternalCheckError
 
 __all__ = ["ThickEdge", "Resolution", "resolve", "p_parity", "degree"]
 
@@ -150,7 +151,7 @@ def resolve(d: LinkDiagram, choice) -> Resolution:
         if incidence[t] == 0:
             circles.append(t)
         elif incidence[t] != 2:
-            raise RuntimeError(
+            raise InternalCheckError(
                 f"thin edge {t} has {incidence[t]} thick-edge endpoints; "
                 "resolution graph is not a union of circles and intervals"
             )

@@ -13,6 +13,12 @@ honest field arithmetic rather than assuming.
 
 States are label tuples aligned with ``resolution.thin_edges`` (which is
 sorted), and all enumerations are in lexicographic order.
+``enumerate_admissible`` uses the local lemma: each thick edge of an
+admissible state is straight or crossed, never both, so it runs over the
+choices of one pairing per thick edge that keep slots 1 and 2 apart and
+colours the thin-edge classes each choice forms.  It never walks the
+n^(#thin) raw states; dead ends remain only where a partial colouring
+fails at a later class (an odd cycle of classes at n = 2, say).
 """
 
 from __future__ import annotations
@@ -45,53 +51,67 @@ DEFAULT_MAX_RAW_STATES = 6561
 def enumerate_admissible(r: Resolution, n: int) -> tuple[State, ...]:
     """All admissible states, lexicographically ordered.
 
-    Enumeration backtracks over thin edges in sorted order, propagating the
-    two local pairings allowed at each thick edge, so the work is
-    proportional to the admissible set rather than to n^(#thin).
+    A thick edge of an admissible state is straight (l1=l3, l2=l4) or
+    crossed (l1=l4, l2=l3), never both, with l1 != l2.  Enumeration picks
+    one pairing per thick edge, merging state positions into classes, and
+    drops a partial choice as soon as slots 1 and 2 of some thick edge fall
+    into one class.  The states of a complete choice are the proper
+    n-colourings of its classes, two classes being adjacent when they meet
+    at slots 1 and 2 of a thick edge; circles are classes of their own and
+    take every label.  Distinct choices give disjoint sets of states, which
+    are sorted once at the end.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    thin = r.thin_edges
-    constraints = [tuple(r.slot[s] for s in t.slots) for t in r.thick_edges]
-    incident: list[list[int]] = [[] for _ in thin]
-    for ci, slots in enumerate(constraints):
-        for p in set(slots):
-            incident[p].append(ci)
-
-    values: list = [None] * len(thin)
+    edges = [tuple(r.slot[s] for s in t.slots) for t in r.thick_edges]
+    apart = [(p1, p2) for p1, p2, _, _ in edges]
     out: list[State] = []
 
-    def feasible(ci: int) -> bool:
-        p1, p2, p3, p4 = constraints[ci]
-        l1, l2, l3, l4 = values[p1], values[p2], values[p3], values[p4]
-        if l1 is not None and l2 is not None:
-            if l1 == l2:
-                return False
-            if l3 is not None and l3 not in (l1, l2):
-                return False
-            if l4 is not None and l4 not in (l1, l2):
-                return False
-        if l3 is not None and l4 is not None:
-            if l3 == l4:
-                return False
-            if l1 is not None and l1 not in (l3, l4):
-                return False
-            if l2 is not None and l2 not in (l3, l4):
-                return False
-        return True
-
-    def dfs(i: int):
-        if i == len(thin):
-            out.append(tuple(values))
+    def choose(i: int, cls: list[int]):
+        if i == len(edges):
+            out.extend(_colourings(cls, apart, n))
             return
-        for v in range(n):
-            values[i] = v
-            if all(feasible(ci) for ci in incident[i]):
-                dfs(i + 1)
-        values[i] = None
+        p1, p2, p3, p4 = edges[i]
+        for pairs in (((p1, p3), (p2, p4)), ((p1, p4), (p2, p3))):
+            merged = cls
+            for x, y in pairs:
+                x, y = sorted((merged[x], merged[y]))
+                if x != y:
+                    merged = [x if c == y else c for c in merged]
+            if all(merged[a] != merged[b] for a, b in apart):
+                choose(i + 1, merged)
 
-    dfs(0)
+    # cls[p] is the smallest position in p's class
+    choose(0, list(range(len(r.thin_edges))))
+    out.sort()
     return tuple(out)
+
+
+def _colourings(cls: list[int], apart, n: int) -> list[State]:
+    """The states of one pairing choice: proper n-colourings of its classes.
+
+    Classes are coloured in order of their smallest position, each taking
+    every label its already coloured neighbours do not have.
+    """
+    index = {x: j for j, x in enumerate(sorted(set(cls)))}
+    earlier: list[set[int]] = [set() for _ in index]
+    for a, b in apart:
+        a, b = sorted((index[cls[a]], index[cls[b]]))
+        earlier[b].add(a)
+    partial: list[tuple] = [()]
+    for before in earlier:
+        if not before:
+            partial = [c + (v,) for c in partial for v in range(n)]
+            continue
+        grown = []
+        for c in partial:
+            used = {c[k] for k in before}
+            grown.extend([c + (v,) for v in range(n) if v not in used])
+        partial = grown
+    if len(index) == len(cls):
+        return partial  # every position is a class of its own
+    at = [index[x] for x in cls]
+    return [tuple([c[j] for j in at]) for c in partial]
 
 
 def iter_raw_states(r: Resolution, n: int, max_raw_states: int = DEFAULT_MAX_RAW_STATES):

@@ -4,7 +4,8 @@ from itertools import product
 
 import pytest
 
-from slndeform.diagram import parse_pd
+from slndeform.diagram import Crossing, LinkDiagram, parse_pd
+from slndeform.errors import InternalCheckError
 from slndeform.fixtures import fixture, fixture_names
 from slndeform.resolution import degree, p_parity, resolve
 from slndeform.states import enumerate_admissible
@@ -32,6 +33,21 @@ def test_hopf_all_one_resolution():
     assert len(r.thin_edges) == 4
     assert len(r.thick_edges) == 2
     assert len(r.circles) == 0
+
+
+def test_thin_edge_with_three_thick_endpoints_is_an_internal_error():
+    # arc 1 leaves crossing 1 on both strands, so it has three endpoints
+    d = LinkDiagram(
+        crossings=(
+            Crossing(id=0, sign=1, in_under=1, in_over=2, out_under=3, out_over=4),
+            Crossing(id=1, sign=1, in_under=3, in_over=4, out_under=1, out_over=1),
+        ),
+        free_loops=0,
+        arcs=(1, 2, 3, 4),
+        components=((1, 2, 3, 4),),
+    )
+    with pytest.raises(InternalCheckError, match="thin edge 1 has 3 thick-edge endpoints"):
+        resolve(d, (1, 1))
 
 
 def test_free_loop_resolution_is_one_circle():

@@ -4,9 +4,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from slndeform.chain import LocalType, classify_local
 from slndeform.cyclotomic import CycloField
-from slndeform.diagram import parse_pd
+from slndeform.diagram import parse_pd, parse_signed
 from slndeform.errors import SizeBoundError
 from slndeform.fixtures import fixture, fixture_names
 from slndeform.potential import admissible_tuple, u1_poly, u2_poly
@@ -65,6 +67,88 @@ def test_enumeration_matches_brute_force_oracle():
                 fast = list(enumerate_admissible(r, n))
                 assert fast == _brute_force_states(r, n)
                 assert fast == sorted(fast)  # deterministic lexicographic order
+
+
+def _torus_pd(k):
+    """The (2, k) torus knot or link: crossing j is X[2j-1, 2j+k-1, 2j, 2j+k] mod 2k."""
+    def lab(x):
+        return (x - 1) % (2 * k) + 1
+
+    return " ".join(
+        f"X[{lab(2 * j - 1)},{lab(2 * j + k - 1)},{lab(2 * j)},{lab(2 * j + k)}]"
+        for j in range(1, k + 1)
+    )
+
+
+def _cube_state_count(d, n):
+    return sum(
+        len(enumerate_admissible(resolve(d, v), n))
+        for v in product((0, 1), repeat=len(d.crossings))
+    )
+
+
+@pytest.mark.parametrize(
+    "k, n, total",
+    [(7, 2, 2190), (7, 3, 6567), (7, 4, 13132), (9, 4, 118108)],
+)
+def test_torus_cube_state_counts(k, n, total):
+    assert _cube_state_count(parse_pd(_torus_pd(k)), n) == total
+
+
+def _braid_closure(word, strands):
+    """Crossings and circle count of a braid closure.
+
+    A letter i is sigma_i (strand i over strand i+1, sign +) and -i its
+    inverse.  Position p starts on arc p, each crossing gives its outgoing
+    strands fresh labels and the strand left at position p is closed onto
+    arc p; untouched positions become crossingless circles.  A crossing is
+    (sign, (in_under, in_over, out_under, out_over)).
+    """
+    at = list(range(1, strands + 1))
+    fresh = strands + 1
+    crossings = []
+    for g in word:
+        left, right = abs(g) - 1, abs(g)
+        under, over = (right, left) if g > 0 else (left, right)
+        crossings.append(("+" if g > 0 else "-", (at[under], at[over], fresh, fresh + 1)))
+        at[under], at[over] = fresh + 1, fresh
+        fresh += 2
+    closing = {arc: p for p, arc in enumerate(at, start=1) if arc != p}
+    crossings = [(sign, tuple(closing.get(a, a) for a in arcs)) for sign, arcs in crossings]
+    return crossings, sum(1 for p, arc in enumerate(at, start=1) if arc == p)
+
+
+@st.composite
+def braid_diagrams(draw):
+    """Closed braids on at most 4 strands with at most 6 letters, arcs relabelled."""
+    strands = draw(st.integers(min_value=1, max_value=4))
+    letters = [g for i in range(1, strands) for g in (i, -i)]
+    word = draw(st.lists(st.sampled_from(letters), max_size=6)) if letters else []
+    crossings, circles = _braid_closure(word, strands)
+    labels = sorted({a for _, arcs in crossings for a in arcs})
+    relabel = dict(zip(labels, draw(st.permutations(labels))))
+    tokens = [
+        f"C[{sign};" + ",".join(str(relabel[a]) for a in arcs) + "]"
+        for sign, arcs in crossings
+    ]
+    return parse_signed(" ".join(tokens + ["U"] * circles))
+
+
+@settings(max_examples=25, derandomize=True)
+@given(braid_diagrams())
+def test_enumeration_on_generated_diagrams(d):
+    for choice in product((0, 1), repeat=len(d.crossings)):
+        r = resolve(d, choice)
+        for n in (2, 3, 4):
+            states = list(enumerate_admissible(r, n))
+            if n ** len(r.thin_edges) <= 4096:
+                assert states == _brute_force_states(r, n)
+                continue
+            assert states == sorted(set(states))
+            for s in states:
+                for t in r.thick_edges:
+                    values = r.local_values(s, d.crossings[t.crossing])
+                    assert classify_local(values, 1) in (LocalType.TYPE1, LocalType.TYPE2)
 
 
 def test_generator_action_on_single_circle():
