@@ -89,8 +89,12 @@ class RunConfig:
 
 def _load_diagram(source: str) -> tuple[str, LinkDiagram]:
     if os.path.exists(source):
-        with open(source, encoding="utf-8") as fh:
-            return source, parse(fh.read())
+        try:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DiagramError(f"cannot read {source!r}: {exc}") from None
+        return source, parse(text)
     if source in FIXTURES:
         return source, parse(FIXTURES[source])
     raise DiagramError(f"{source!r} is neither a file nor a bundled fixture name")

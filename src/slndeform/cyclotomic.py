@@ -36,71 +36,36 @@ __all__ = [
 RootLabel = int  # exponent k standing for zeta_n^k, always reduced mod n
 
 
-# ----------------------------------------------------------------------
-# Integer / rational polynomial helpers (dense, low degree first)
-# ----------------------------------------------------------------------
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _poly_trim(out)
-
-
-def _poly_divmod_exact(p, q):
-    """Long division p = s*q + r over Fractions; returns (s, r)."""
-    p = [Fraction(c) for c in p]
-    q = [Fraction(c) for c in q]
-    s = [Fraction(0)] * max(len(p) - len(q) + 1, 1)
-    lead = q[-1]
-    while len(p) >= len(q) and any(p):
-        p = _poly_trim(p)
-        if len(p) < len(q):
-            break
-        k = len(p) - len(q)
-        factor = p[-1] / lead
-        s[k] = factor
-        for i, c in enumerate(q):
-            p[k + i] -= factor * c
-        p = p[:-1]
-    return _poly_trim(s), _poly_trim(p)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, low degree first.
 
-    Computed by dividing x^n - 1 by the product of Phi_d over the proper
-    divisors d of n.  The result has integer coefficients; the division is
-    checked to be exact.
+    x^n - 1 is divided in turn by Phi_d for each proper divisor d of n.
+    Every Phi_d is monic with integer coefficients, so each quotient stays
+    in the integers; a nonzero remainder raises ``InternalCheckError``.
     """
     if n < 1:
         raise ValueError("cyclotomic polynomial needs n >= 1")
-    if n == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    den = [1]
+    quot = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            den = _poly_mul(den, list(cyclotomic_polynomial(d)))
-    quot, rem = _poly_divmod_exact(num, den)
-    if rem:
+            quot = _divide_by_monic(quot, cyclotomic_polynomial(d), n)
+    return tuple(quot)
+
+
+def _divide_by_monic(p: list, q: tuple, n: int) -> list:
+    """p / q for monic integer q, low degree first; the remainder must be 0."""
+    k = len(q) - 1
+    rem = list(p)
+    quot = [0] * (len(p) - k)
+    for i in reversed(range(len(quot))):
+        c = quot[i] = rem[i + k]
+        if c:
+            for j, b in enumerate(q):
+                rem[i + j] -= c * b
+    if any(rem):
         raise InternalCheckError(f"inexact division while computing Phi_{n}")
-    coeffs = []
-    for c in quot:
-        if c.denominator != 1:
-            raise InternalCheckError(f"non-integer coefficient in Phi_{n}")
-        coeffs.append(int(c))
-    return tuple(coeffs)
+    return quot
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,8 @@ through a handful of polynomial identities.  This module keeps them exact:
   reported as an internal error rather than silently truncated.
 * ``admissible_tuple`` is the set-theoretic condition under which the four
   thick-edge equations vanish, and ``lemma_brute_check`` confirms the
-  equivalence by exhaustive evaluation over all n^4 root tuples.
+  equivalence over all n^4 root tuples.  The two linear equations decide
+  first; u1 and u2 are summed only where they hold.
 
 Polynomials are sparse Fraction-coefficient maps from exponent vectors, so
 everything here (including the brute-force lemma scan) is exact arithmetic.
@@ -338,11 +339,6 @@ class LemmaReport:
         return not self.counterexamples
 
 
-def _g_coeff_terms(n: int) -> list[tuple[int, int, Fraction]]:
-    """g's terms as (z-exponent, w-exponent, coefficient), sorted."""
-    return sorted((e[0], e[1], c) for e, c in g_poly(n).terms.items())
-
-
 def lemma_brute_check(ctx: PotentialContext) -> LemmaReport:
     """Exhaustively verify the thick-edge equations against admissibility.
 
@@ -355,46 +351,26 @@ def lemma_brute_check(ctx: PotentialContext) -> LemmaReport:
         u2(x) = 0
 
     and records every tuple where "all four hold" disagrees with
-    ``admissible_tuple``.  Divided differences are evaluated through their
-    expanded-sum form, never by dividing, so coincident points are fine.
+    ``admissible_tuple``.  The two linear equations decide first: they hold
+    only when {x1, x2} = {x3, x4}, and only there are u1 and u2 summed.
+    Divided differences are evaluated through their expanded-sum form,
+    never by dividing, so coincident points are fine.
     """
     n, beta = ctx.n, ctx.beta
     if n > LEMMA_MAX_N:
         raise ValueError(f"brute-force lemma check capped at n = {LEMMA_MAX_N}")
     fld = CycloField(n)
-    gterms = _g_coeff_terms(n)
-    max_z = max(a for a, _, _ in gterms)
-    max_w = max(b for _, b, _ in gterms)
+    gterms = g_poly(n).terms
     target_u1 = fld.from_rational((n + 1) * beta**n)
     points = [fld.root(k) * beta for k in range(n)]
     report = LemmaReport(n=n, beta=beta)
 
-    # z, w and their powers depend only on the unordered label pair
-    zpows: dict[tuple[int, int], list] = {}
-    wpows: dict[tuple[int, int], list] = {}
-    for i in range(n):
-        for j in range(i, n):
-            zpows[(i, j)] = _powers(points[i] + points[j], max_z)
-            wpows[(i, j)] = _powers(points[i] * points[j], max_w)
-
-    def u_values(p12: tuple[int, int], p34: tuple[int, int]):
-        zpow, zppow = zpows[p12], zpows[p34]
-        wpow, wppow = wpows[p12], wpows[p34]
-        # u1 = sum c * DD_a(z, z') * w^b  with DD_a = sum_i z^i z'^{a-1-i}
-        u1_val = fld.zero
-        u2_val = fld.zero
-        for a, b, c in gterms:
-            if a > 0:
-                dd = fld.zero
-                for i in range(a):
-                    dd = dd + zpow[i] * zppow[a - 1 - i]
-                u1_val = u1_val + dd * wpow[b] * c
-            if b > 0:
-                dd = fld.zero
-                for j in range(b):
-                    dd = dd + wpow[j] * wppow[b - 1 - j]
-                u2_val = u2_val + zppow[a] * dd * c
-        return u1_val, u2_val
+    # z = x + y and w = x*y depend only on the unordered label pair
+    zw = {
+        (i, j): (points[i] + points[j], points[i] * points[j])
+        for i in range(n)
+        for j in range(i, n)
+    }
 
     cache: dict[tuple, bool] = {}
     for labels in product(range(n), repeat=4):
@@ -402,14 +378,22 @@ def lemma_brute_check(ctx: PotentialContext) -> LemmaReport:
         key = (min(l1, l2), max(l1, l2), min(l3, l4), max(l3, l4))
         equations_hold = cache.get(key)
         if equations_hold is None:
-            p12, p34 = key[:2], key[2:]
-            u1_val, u2_val = u_values(p12, p34)
-            equations_hold = (
-                (zpows[p12][1] - zpows[p34][1]).is_zero
-                and (wpows[p12][1] - wpows[p34][1]).is_zero
-                and (u1_val - target_u1).is_zero
-                and u2_val.is_zero
-            )
+            (z, w), (zp, wp) = zw[key[:2]], zw[key[2:]]
+            equations_hold = z == zp and w == wp
+            if equations_hold:
+                # u1 = sum c * DD_a(z, z') * w^b, u2 = sum c * z'^a * DD_b(w, w'),
+                # with DD_a(s, t) = sum_i s^i * t^(a-1-i)
+                u1_val = sum(
+                    (z**i * zp ** (a - 1 - i) * w**b * c
+                     for (a, b), c in gterms.items() for i in range(a)),
+                    fld.zero,
+                )
+                u2_val = sum(
+                    (zp**a * w**j * wp ** (b - 1 - j) * c
+                     for (a, b), c in gterms.items() for j in range(b)),
+                    fld.zero,
+                )
+                equations_hold = u1_val == target_u1 and u2_val.is_zero
             cache[key] = equations_hold
         admissible = admissible_tuple(labels, n)
         report.tuples_checked += 1
@@ -420,11 +404,3 @@ def lemma_brute_check(ctx: PotentialContext) -> LemmaReport:
 
     report.counterexamples.sort()
     return report
-
-
-def _powers(x, k: int) -> list:
-    """[x^0, ..., x^k] with x^0 taken in the ambient field."""
-    out = [x.field.one]
-    for _ in range(k):
-        out.append(out[-1] * x)
-    return out

@@ -155,6 +155,22 @@ def test_corrupt_file_is_input_error(tmp_path, capsys):
     assert "input error" in err
 
 
+def test_directory_path_is_input_error(tmp_path, capsys):
+    code, _, err = _run(capsys, "homology", str(tmp_path))
+    assert code == 2
+    assert "input error" in err
+    assert str(tmp_path) in err
+
+
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "binary.pd"
+    bad.write_bytes(b"\xff\xfe")
+    code, _, err = _run(capsys, "homology", str(bad))
+    assert code == 2
+    assert "input error" in err
+    assert str(bad) in err
+
+
 def test_missing_diagram_is_input_error(capsys):
     code, _, err = _run(capsys, "homology", "no_such_thing")
     assert code == 2

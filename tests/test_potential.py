@@ -1,9 +1,11 @@
 """g, the divided differences u1/u2, pi, and the admissibility lemma."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from slndeform import potential
 from slndeform.cyclotomic import CycloField
 from slndeform.potential import (
     ExactDivisionError,
@@ -137,6 +139,26 @@ def test_lemma_full_sweep():
             rep = lemma_brute_check(PotentialContext(n, beta))
             assert rep.passed, rep.counterexamples[:3]
             assert rep.admissible_count == 2 * n * (n - 1)
+
+
+@pytest.mark.parametrize("shift", ["z", "w"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("beta", [Fraction(1), Fraction(-3)])
+def test_lemma_reports_a_shifted_u_as_counterexamples(monkeypatch, shift, n, beta):
+    # g + z adds 1 to u1 and g + w adds 1 to u2, so the equations fail on
+    # every admissible tuple and the check must report exactly those
+    real = potential.g_poly
+    monkeypatch.setattr(
+        potential, "g_poly",
+        lambda k: real(k) + MultiPoly.variable(shift, ("z", "w")),
+    )
+    rep = lemma_brute_check(PotentialContext(n, beta))
+    admissible = [
+        t for t in product(range(n), repeat=4) if admissible_tuple(t, n)
+    ]
+    assert len(admissible) == 2 * n * (n - 1)
+    assert rep.counterexamples == admissible
+    assert rep.admissible_count == len(admissible)
 
 
 def test_lemma_rejects_oversized_n():
