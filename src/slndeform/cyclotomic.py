@@ -331,15 +331,17 @@ class CycloNumber:
             return NotImplemented
         if exponent < 0:
             return self.inv() ** (-exponent)
-        result = self.field.one
-        base = self
-        e = exponent
-        while e:
+        if exponent == 0:
+            return self.field.one
+        # square only while exponent bits remain, and start from the base
+        base, result, e = self, None, exponent
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     # -- comparisons ------------------------------------------------------
 

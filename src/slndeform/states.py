@@ -9,7 +9,11 @@ admissible-state set.  In that model the edge generator X_e acts as the
 function phi -> beta*zeta^{phi(e)} and the projector attached to any raw
 state evaluates to an indicator function (or to zero when the state is not
 admissible) -- properties that ``verify_projector_identities`` checks by
-honest field arithmetic rather than assuming.
+honest field arithmetic rather than assuming.  A ``StateFunction`` stores
+only its nonzero values, so a projector costs its support, not the whole
+state set; that support is read off the evaluated edge factors (where each
+is an exact zero), never off a comparison of labels, so a wrong factor
+still shows in the checks.
 
 States are label tuples aligned with ``resolution.thin_edges`` (which is
 sorted), and all enumerations are in lexicographic order.
@@ -137,13 +141,17 @@ class StateAlgebra:
         self.field = CycloField(n)
         self.states = enumerate_admissible(resolution, n)
         self.index = {s: i for i, s in enumerate(self.states)}
-        self._factors: list[CycloNumber] | None = None
+        self._tables: tuple | None = None
 
     # -- basic elements ----------------------------------------------------
 
+    def _constant(self, v: CycloNumber) -> "StateFunction":
+        if v.is_zero:
+            return StateFunction(self, {})
+        return StateFunction(self, dict.fromkeys(range(len(self.states)), v))
+
     def constant(self, value) -> "StateFunction":
-        v = self.field.from_rational(value)
-        return StateFunction(self, tuple(v for _ in self.states))
+        return self._constant(self.field.from_rational(value))
 
     @property
     def one(self) -> "StateFunction":
@@ -158,59 +166,91 @@ class StateAlgebra:
         if e not in self.resolution.thin_edges:
             raise KeyError(f"unknown thin edge {e}")
         p = self.resolution.slot[e]
-        vals = tuple(self.field.root(s[p]) * self.beta for s in self.states)
+        vals = {i: self.field.root(s[p]) * self.beta for i, s in enumerate(self.states)}
         return StateFunction(self, vals)
 
     # -- projectors ----------------------------------------------------------
 
     def _edge_factors(self) -> list[CycloNumber]:
         """(1/n) sum_j (beta*zeta^a)^j / (beta*zeta^b)^j, by m = a-b mod n."""
-        if self._factors is None:
-            n, fld = self.n, self.field
-            factors = []
-            for m in range(n):
-                ratio = (fld.root(m) * self.beta) / (fld.root(0) * self.beta)
-                acc, p = fld.zero, fld.one
-                for _ in range(n):
-                    acc = acc + p
-                    p = p * ratio
-                factors.append(acc * Fraction(1, n))
-            self._factors = factors
-        return self._factors
+        n, fld = self.n, self.field
+        factors = []
+        for m in range(n):
+            ratio = (fld.root(m) * self.beta) / (fld.root(0) * self.beta)
+            acc, p = fld.zero, fld.one
+            for _ in range(n):
+                acc = acc + p
+                p = p * ratio
+            factors.append(acc * Fraction(1, n))
+        return factors
+
+    def _projector_tables(self) -> tuple:
+        """The edge factors, and where each edge's factor is nonzero.
+
+        ``support[p][a]`` is the set of state indices psi whose factor
+        ``factors[(psi[p] - a) % n]`` is nonzero, read off the evaluated
+        factors, so a wrong factor moves the supports with it.
+        """
+        if self._tables is None:
+            factors = self._edge_factors()
+            n = self.n
+            nonzero = [not f.is_zero for f in factors]
+            states = list(enumerate(self.states))
+            support = [
+                [
+                    frozenset(i for i, s in states if nonzero[(s[p] - a) % n])
+                    for a in range(n)
+                ]
+                for p in range(len(self.resolution.thin_edges))
+            ]
+            self._tables = (factors, support)
+        return self._tables
 
     def idempotent(self, phi: State) -> "StateFunction":
         """Q_phi = prod_e (1/n)(1 + X_e/(beta*phi(e)) + ... ), in the model.
 
         For admissible phi this is the indicator function of phi; for
         non-admissible phi it is the zero function.  Both facts come out of
-        the evaluation rather than being special-cased.
+        the evaluation rather than being special-cased: Q_phi is multiplied
+        out at every state where no edge factor is an exact zero (the
+        intersection of the factors' supports), and is zero elsewhere.
         """
         if len(phi) != len(self.resolution.thin_edges):
             raise ValueError("state length does not match thin-edge count")
-        factors = self._edge_factors()
+        factors, support = self._projector_tables()
         n = self.n
-        zero, one = self.field.zero, self.field.one
-        vals = []
-        for psi in self.states:
+        candidates = frozenset.intersection(
+            *(support[p][b % n] for p, b in enumerate(phi))
+        )
+        one = self.field.one
+        vals = {}
+        for i in candidates:
             acc = one
-            for a, b in zip(psi, phi):
-                f = factors[(a - b) % n]
-                if f.is_zero:
-                    acc = zero  # an exact zero factor kills the product
-                    break
-                acc = acc * f
-            vals.append(acc)
-        return StateFunction(self, tuple(vals))
+            for a, b in zip(self.states[i], phi):
+                acc = acc * factors[(a - b) % n]
+            vals[i] = acc  # a product of nonzero field elements is nonzero
+        return StateFunction(self, vals)
 
 
 class StateFunction:
-    """A map from admissible states to Q(zeta_n), with pointwise operations."""
+    """A map from admissible states to Q(zeta_n), with pointwise operations.
 
-    __slots__ = ("algebra", "values")
+    Only the nonzero values are stored, by state index, so the zero
+    function is the empty dict and equal functions have equal dicts.
+    Products visit the intersection of the two supports, sums the union.
+    """
 
-    def __init__(self, algebra: StateAlgebra, values: tuple):
+    __slots__ = ("algebra", "_vals")
+
+    def __init__(self, algebra: StateAlgebra, nonzero: dict):
         self.algebra = algebra
-        self.values = values
+        self._vals = nonzero  # state index -> nonzero CycloNumber
+
+    @property
+    def values(self) -> tuple:
+        """Every value, zeros included, in state order."""
+        zero = self.algebra.field.zero
+        return tuple(self._vals.get(i, zero) for i in range(len(self.algebra.states)))
 
     def _coerce(self, other):
         if isinstance(other, StateFunction):
@@ -221,21 +261,33 @@ class StateFunction:
             v = other if isinstance(other, CycloNumber) else (
                 self.algebra.field.from_rational(other)
             )
-            return StateFunction(self.algebra, tuple(v for _ in self.values))
+            return self.algebra._constant(v)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return StateFunction(
-            self.algebra, tuple(a + b for a, b in zip(self.values, o.values))
-        )
+        big, small = self._vals, o._vals
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        for i, b in small.items():
+            a = out.get(i)
+            if a is None:
+                out[i] = b
+                continue
+            total = a + b
+            if total.is_zero:
+                del out[i]
+            else:
+                out[i] = total
+        return StateFunction(self.algebra, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return StateFunction(self.algebra, tuple(-a for a in self.values))
+        return StateFunction(self.algebra, {i: -a for i, a in self._vals.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -253,44 +305,50 @@ class StateFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return StateFunction(
-            self.algebra, tuple(a * b for a, b in zip(self.values, o.values))
-        )
+        a, b = self._vals, o._vals
+        if len(a) > len(b):
+            a, b = b, a
+        # a field has no zero divisors, so no product needs dropping
+        vals = {i: v * b[i] for i, v in a.items() if i in b}
+        return StateFunction(self.algebra, vals)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        result = self.algebra.one
-        base = self
-        while k:
+        if k == 0:
+            return self.algebra.one
+        # square only while exponent bits remain, and start from the base
+        base, result = self, None
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.values == o.values
+        return self._vals == o._vals
 
     def __hash__(self):
-        return hash(self.values)
+        return hash(frozenset(self._vals.items()))
 
     @property
     def is_zero(self) -> bool:
-        return all(v.is_zero for v in self.values)
+        return not self._vals
 
     def __call__(self, state: State):
-        return self.values[self.algebra.index[state]]
+        return self._vals.get(self.algebra.index[state], self.algebra.field.zero)
 
     def support(self) -> tuple[State, ...]:
-        return tuple(
-            s for s, v in zip(self.algebra.states, self.values) if not v.is_zero
-        )
+        """The states where the function is nonzero, in state order."""
+        states = self.algebra.states
+        return tuple(states[i] for i in sorted(self._vals))
 
     def __repr__(self):
         shown = ", ".join(

@@ -107,6 +107,31 @@ def test_power_and_division():
     assert (2 / (root(0, 5) * 2)) == 1
 
 
+def test_power_costs_squarings_plus_popcount_minus_one_products(monkeypatch):
+    fld = CycloField(5)
+    x = fld.element([2, -1, Fraction(1, 3), 5])
+    calls = []
+    mul = CycloField._mul
+
+    def counting(self, *args):
+        calls.append(1)
+        return mul(self, *args)
+
+    expected = fld.one
+    for k in range(18):
+        monkeypatch.setattr(CycloField, "_mul", counting)
+        calls.clear()
+        got = x**k
+        monkeypatch.setattr(CycloField, "_mul", mul)
+        assert got == expected, k
+        products = 0 if k == 0 else k.bit_length() - 1 + bin(k).count("1") - 1
+        assert len(calls) == products, k
+        expected = expected * x
+    assert x**0 is fld.one
+    assert x**-3 == x.inv() * x.inv() * x.inv()
+    assert x**-3 * x**3 == 1
+
+
 def test_rational_extraction_and_rendering():
     fld = CycloField(4)
     two = fld.from_rational(2)

@@ -273,3 +273,92 @@ def test_state_algebra_rejects_zero_beta():
     r = resolve(parse_pd("U"), ())
     with pytest.raises(ValueError):
         StateAlgebra(r, 2, Fraction(0))
+
+
+def _dense_projectors(algebra):
+    """Oracle: each raw phi with Q_phi at every admissible psi, in state order.
+
+    Q_phi(psi) is the full product of the edge factors at the label
+    differences psi - phi mod n, with no zero factor skipped; it depends
+    only on those differences, so it is multiplied out once per tuple.
+    """
+    factors = algebra._edge_factors()
+    n = algebra.n
+    k = len(algebra.resolution.thin_edges)
+    by_diff = {}
+    for diff in product(range(n), repeat=k):
+        acc = algebra.field.one
+        for m in diff:
+            acc = acc * factors[m]
+        by_diff[diff] = acc
+    for phi in product(range(n), repeat=k):
+        yield phi, tuple(
+            by_diff[tuple([(a - b) % n for a, b in zip(psi, phi)])]
+            for psi in algebra.states
+        )
+
+
+def test_sparse_projector_matches_dense_product_of_edge_factors():
+    cases = [
+        (resolve(fixture(name), choice), n)
+        for name in fixture_names()
+        for choice in product((0, 1), repeat=len(fixture(name).crossings))
+        for n in (2, 3)
+    ]
+    cases = [(r, n) for r, n in cases if len(r.thin_edges) <= 6]
+    cases += [(resolve(fixture("hopf_pos"), (1, 1)), n) for n in (4, 5, 6)]
+    for r, n in cases:
+        for beta in (Fraction(1), Fraction(-3)):
+            algebra = StateAlgebra(r, n, beta)
+            for phi, dense in _dense_projectors(algebra):
+                assert algebra.idempotent(phi).values == dense
+
+
+@pytest.mark.parametrize(
+    "m, value, count, first",
+    [
+        (1, Fraction(1, 2), 319, "Q != 0 for non-admissible state (0, 0, 0, 0)"),
+        (0, Fraction(2), 25, "Q(phi) != 1 for admissible state (0, 0, 1, 1)"),
+    ],
+)
+def test_projector_check_fails_on_a_wrong_edge_factor(monkeypatch, m, value, count, first):
+    """A wrong factor must move the supports too, so the identities fail."""
+    computed = StateAlgebra._edge_factors
+
+    def corrupted(self):
+        factors = list(computed(self))
+        factors[m] = self.field.from_rational(value)
+        return factors
+
+    monkeypatch.setattr(StateAlgebra, "_edge_factors", corrupted)
+    rep = verify_projector_identities(resolve(fixture("hopf_pos"), (1, 1)), 3)
+    assert len(rep.failures) == count
+    assert rep.failures[0] == first
+
+
+def test_state_function_contract():
+    r = resolve(fixture("hopf_pos"), (1, 1))
+    algebra = StateAlgebra(r, 3, Fraction(-3))
+    projectors = [algebra.idempotent(phi) for phi in iter_raw_states(r, 3)]
+    total = algebra.zero
+    for q in projectors:
+        total = total + q
+    assert total == algebra.one and hash(total) == hash(algebra.one)
+
+    q = algebra.idempotent(algebra.states[1])
+    assert (q - q).is_zero and q - q == algebra.zero
+    assert algebra.constant(0).is_zero and algebra.constant(0) == 0
+
+    picked = algebra.states[::3]
+    f = algebra.zero
+    for phi in reversed(picked):
+        f = f + algebra.idempotent(phi)
+    assert f.support() == picked
+
+    x = algebra.generator_action(r.thin_edges[0])
+    assert (x * 0).is_zero and (0 * x).is_zero and x * 0 == algebra.zero
+
+    other = StateAlgebra(r, 3, Fraction(-3))
+    for op in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a == b):
+        with pytest.raises(ValueError):
+            op(algebra.one, other.one)
