@@ -11,7 +11,9 @@ type 2 states have no partner and map to zero.
 Each component's scalar is +1 before signs.  On every summand with fixed
 labels the cube has one-dimensional vertex spaces and commuting squares, so
 any choice of nonzero scalars is related to this one by a diagonal change of
-basis; ``rescale_basis`` exists precisely to exercise that claim.  Standard
+basis; ``rescale_basis`` exists precisely to exercise that claim.  The
+deformation scale beta could change only these nonzero scalars, so the
+complex does not take it; the lemma and the projectors read it.  Standard
 alternating cube signs (parity of the 1-bits before the flipped crossing)
 make the squares anticommute, and ``check_d_squared`` verifies d o d = 0 by
 exact arithmetic.
@@ -152,7 +154,6 @@ class DeformedComplex:
 
     diagram: LinkDiagram
     n: int
-    beta: Fraction
     field: CycloField
     resolutions: dict[tuple[int, ...], Resolution]
     degrees: tuple[int, ...]
@@ -224,15 +225,9 @@ class DeformedComplex:
 
 
 def build_complex(
-    d: LinkDiagram,
-    n: int,
-    beta=Fraction(1),
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
+    d: LinkDiagram, n: int, *, max_crossings: int = DEFAULT_MAX_CROSSINGS
 ) -> DeformedComplex:
     """Assemble the full cube complex for a diagram."""
-    beta = Fraction(beta)
-    if beta == 0:
-        raise ValueError("beta must be nonzero")
     k = len(d.crossings)
     if k > max_crossings:
         raise SizeBoundError(f"{k} crossings exceed the bound {max_crossings}")
@@ -293,7 +288,6 @@ def build_complex(
     return DeformedComplex(
         diagram=d,
         n=n,
-        beta=beta,
         field=field,
         resolutions=resolutions,
         degrees=tuple(sorted(basis)),

@@ -11,7 +11,8 @@ Commands:
   dump of the differentials.
 * ``verify``    -- the identity suites: admissibility lemma brute force,
   projector identities, telescoping identity, d^2 = 0 with rescaling
-  invariance, and the three-way homology cross-validation.
+  invariance, and the three-way homology cross-validation.  Only ``verify``
+  takes ``--beta``: the complex and its homology do not depend on it.
 
 Exit codes: 0 success, 1 mathematical mismatch, 2 input error, 3 resource
 bound exceeded.  Diagrams are given as file paths or bundled fixture names;
@@ -117,13 +118,12 @@ def _dims_str(dims: dict) -> str:
 # ----------------------------------------------------------------------
 
 def cmd_homology(name: str, d: LinkDiagram, cfg: RunConfig) -> int:
-    report = cross_validate(d, cfg.n, cfg.beta, max_crossings=cfg.max_crossings)
+    report = cross_validate(d, cfg.n, max_crossings=cfg.max_crossings)
     closed, computed, agree = report.closed, report.computed, report.passed
 
     payload = {
         "diagram": name,
         "n": cfg.n,
-        "beta": str(cfg.beta),
         "components": d.component_count,
         "dims": {str(k): v for k, v in sorted(computed.dims.items())},
         "total": computed.total,
@@ -137,7 +137,7 @@ def cmd_homology(name: str, d: LinkDiagram, cfg: RunConfig) -> int:
     lines = [
         f"diagram: {name} ({len(d.crossings)} crossings, "
         f"{d.component_count} components, writhe {writhe(d)})",
-        f"n = {cfg.n}, beta = {cfg.beta}",
+        f"n = {cfg.n}",
         f"closed form:      {_dims_str(closed.dims)}  total {closed.total}",
         f"rank computation: {_dims_str(computed.dims)}  total {computed.total}",
         f"agreement: {'yes' if agree else 'NO'}",
@@ -200,13 +200,12 @@ def cmd_states(
 def cmd_complex(
     name: str, d: LinkDiagram, matrices: bool, cfg: RunConfig
 ) -> int:
-    cx = build_complex(d, cfg.n, cfg.beta, max_crossings=cfg.max_crossings)
+    cx = build_complex(d, cfg.n, max_crossings=cfg.max_crossings)
     dims = cx.dims()
     payload = {
         "diagram": name,
         "diagram_data": d.to_json(),
         "n": cfg.n,
-        "beta": str(cfg.beta),
         "dims": {str(k): v for k, v in sorted(dims.items())},
         "euler": cx.euler_characteristic(),
     }
@@ -293,7 +292,7 @@ def _suite_complex(cfg: RunConfig):
     last = ""
     for name in VERIFY_DIAGRAMS:
         d = parse(FIXTURES[name])
-        cx = build_complex(d, cfg.n, cfg.beta, max_crossings=cfg.max_crossings)
+        cx = build_complex(d, cfg.n, max_crossings=cfg.max_crossings)
         failure = cx.check_d_squared()
         if failure is not None:
             return False, f"{name}: d^2 != 0 at {failure}"
@@ -313,7 +312,7 @@ def _suite_cross_validate(cfg: RunConfig):
     last = ""
     for name in VERIFY_DIAGRAMS:
         d = parse(FIXTURES[name])
-        report = cross_validate(d, cfg.n, cfg.beta, max_crossings=cfg.max_crossings)
+        report = cross_validate(d, cfg.n, max_crossings=cfg.max_crossings)
         if not report.passed:
             return False, f"{name}: {report.messages[0]}"
         last = f"{name}: three-way agreement on {_dims_str(report.closed.dims)}"
@@ -365,28 +364,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def command(name, help, diagram=True, builds_complex=True):
-        """A subcommand; --beta and --max-crossings only where a complex is built."""
+    def command(name, help, diagram=True):
+        """A subcommand with --n and --format; each caller adds what it reads."""
         p = sub.add_parser(name, help=help)
         if diagram:
             p.add_argument("diagram", help="diagram file or bundled fixture name")
         p.add_argument("--n", type=int, default=2, help="order of the root of unity")
-        if builds_complex:
-            p.add_argument(
-                "--beta", default="1", help="nonzero rational deformation scale"
-            )
         p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
-        if builds_complex:
-            p.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS)
         return p
 
-    command("homology", "three-way homology check")
-    p = command("states", "admissible states of one resolution", builds_complex=False)
+    def crossing_bound(p):
+        p.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS)
+        return p
+
+    crossing_bound(command("homology", "three-way homology check"))
+    p = command("states", "admissible states of one resolution")
     p.add_argument("--resolution", required=True, help="bit string, one per crossing")
     p.add_argument("--list", action="store_true", help="list the states")
-    p = command("complex", "chain dimensions and matrices")
+    p = crossing_bound(command("complex", "chain dimensions and matrices"))
     p.add_argument("--matrices", action="store_true", help="dump sparse differentials")
-    p = command("verify", "run the identity suites", diagram=False)
+    p = crossing_bound(command("verify", "run the identity suites", diagram=False))
+    p.add_argument("--beta", default="1", help="nonzero rational deformation scale")
     p.add_argument("--max-raw-states", type=int, default=DEFAULT_MAX_RAW_STATES)
     p.add_argument("--seed", type=int, default=0)
     return top

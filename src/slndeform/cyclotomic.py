@@ -31,9 +31,27 @@ __all__ = [
     "CycloField",
     "CycloNumber",
     "root",
+    "power",
 ]
 
 RootLabel = int  # exponent k standing for zeta_n^k, always reduced mod n
+
+
+def power(x, k: int):
+    """x**k for k >= 1 in any ring, by square-and-multiply.
+
+    It starts from x and stops squaring after the last exponent bit, so it
+    takes floor(log2 k) squarings plus popcount(k) - 1 products.  Callers
+    handle k <= 0, each with its own one and inverse.
+    """
+    result = None
+    while True:
+        if k & 1:
+            result = x if result is None else result * x
+        k >>= 1
+        if not k:
+            return result
+        x = x * x
 
 
 @lru_cache(maxsize=None)
@@ -333,15 +351,7 @@ class CycloNumber:
             return self.inv() ** (-exponent)
         if exponent == 0:
             return self.field.one
-        # square only while exponent bits remain, and start from the base
-        base, result, e = self, None, exponent
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+        return power(self, exponent)
 
     # -- comparisons ------------------------------------------------------
 

@@ -14,14 +14,14 @@
   the degree off that single resolution; no linear algebra at all.
 
 ``cross_validate`` runs all three and insists on identical degree->dimension
-tables plus Euler-characteristic agreement with the chain level.
+tables plus Euler-characteristic agreement with the chain level.  None of
+the three reads the deformation scale beta (see ``chain``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 
 from .chain import (
@@ -267,7 +267,6 @@ def survivors_combinatorial(d: LinkDiagram, n: int) -> HomologyResult:
 @dataclass
 class CrossValidation:
     n: int
-    beta: Fraction
     computed: HomologyResult
     closed: HomologyResult
     survivors: HomologyResult
@@ -280,19 +279,15 @@ class CrossValidation:
 
 
 def cross_validate(
-    d: LinkDiagram,
-    n: int,
-    beta=Fraction(1),
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
+    d: LinkDiagram, n: int, *, max_crossings: int = DEFAULT_MAX_CROSSINGS
 ) -> CrossValidation:
     """Run all three methods and insist on exact agreement."""
-    cx = build_complex(d, n, beta, max_crossings=max_crossings)
+    cx = build_complex(d, n, max_crossings=max_crossings)
     computed = compute_homology(cx)
     closed = closed_form(d, n)
     survivors = survivors_combinatorial(d, n)
     report = CrossValidation(
         n=n,
-        beta=Fraction(beta),
         computed=computed,
         closed=closed,
         survivors=survivors,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .cyclotomic import CycloField
+from .cyclotomic import CycloField, power
 
 __all__ = [
     "MultiPoly",
@@ -141,14 +141,7 @@ class MultiPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(1, self.vars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return MultiPoly.constant(1, self.vars) if k == 0 else power(self, k)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

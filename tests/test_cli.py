@@ -12,12 +12,11 @@ from slndeform.cli import main
 HOMOLOGY_SCHEMA = {
     "type": "object",
     "required": [
-        "diagram", "n", "beta", "components", "dims", "total",
+        "diagram", "n", "components", "dims", "total",
         "generators", "closed_form_dims", "computed_dims", "agree",
     ],
     "properties": {
         "n": {"type": "integer", "minimum": 2},
-        "beta": {"type": "string"},
         "components": {"type": "integer", "minimum": 1},
         "dims": {
             "type": "object",
@@ -73,7 +72,7 @@ STATES_SCHEMA = {
 
 COMPLEX_SCHEMA = {
     "type": "object",
-    "required": ["diagram", "diagram_data", "n", "beta", "dims", "euler",
+    "required": ["diagram", "diagram_data", "n", "dims", "euler",
                  "d_squared_zero"],
     "properties": {
         "diagram_data": DIAGRAM_SCHEMA,
@@ -124,6 +123,7 @@ def test_homology_json_schema(capsys):
     assert code == 0
     payload = json.loads(out)
     jsonschema.validate(payload, HOMOLOGY_SCHEMA)
+    assert "beta" not in payload
     assert payload["agree"] is True
     assert payload["dims"] == {"-2": 6, "0": 3}
 
@@ -238,6 +238,7 @@ def test_complex_json_schema(capsys):
     assert code == 0
     payload = json.loads(out)
     jsonschema.validate(payload, COMPLEX_SCHEMA)
+    assert "beta" not in payload
     assert payload["dims"] == {"0": 4, "1": 4, "2": 4}
     assert payload["d_squared_zero"] is True
     assert set(payload["matrices"]) == {"0", "1", "2"}
@@ -245,15 +246,23 @@ def test_complex_json_schema(capsys):
     assert len(payload["matrices"]["0"]) == 4
 
 
+@pytest.mark.parametrize("command", ["homology", "complex"])
+def test_beta_is_not_an_option_of_the_complex(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "hopf_pos", "--beta", "2"])
+    assert exc.value.code == 2
+    assert "--beta" in capsys.readouterr().err
+
+
 def test_invalid_beta_rejected(capsys):
-    code, _, err = _run(capsys, "homology", "hopf_pos", "--beta", "0")
+    code, _, err = _run(capsys, "verify", "--beta", "0")
     assert code == 2
-    code, _, err = _run(capsys, "homology", "hopf_pos", "--beta", "x")
+    code, _, err = _run(capsys, "verify", "--beta", "x")
     assert code == 2
 
 
 def test_beta_fraction_accepted(capsys):
-    code, out, _ = _run(capsys, "homology", "hopf_pos", "--beta", "1/2",
+    code, out, _ = _run(capsys, "verify", "--n", "2", "--beta", "1/2",
                         "--format", "json")
     assert code == 0
     assert json.loads(out)["beta"] == "1/2"

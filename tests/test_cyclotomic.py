@@ -9,6 +9,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from slndeform.cyclotomic import CycloField, cyclotomic_polynomial, root
 from slndeform.errors import InternalCheckError
+from slndeform.fixtures import fixture
+from slndeform.potential import MultiPoly
+from slndeform.resolution import resolve
+from slndeform.states import StateAlgebra
 
 
 def test_first_cyclotomic_polynomials():
@@ -130,6 +134,42 @@ def test_power_costs_squarings_plus_popcount_minus_one_products(monkeypatch):
     assert x**0 is fld.one
     assert x**-3 == x.inv() * x.inv() * x.inv()
     assert x**-3 * x**3 == 1
+
+
+def _ring_element(kind):
+    """(x, one) in the polynomial ring or in a state algebra."""
+    if kind == "MultiPoly":
+        xy = ("x", "y")
+        x, y = (MultiPoly.variable(v, xy) for v in xy)
+        return x + y * Fraction(1, 2) + 3, MultiPoly.constant(1, xy)
+    r = resolve(fixture("hopf_pos"), (1, 1))
+    algebra = StateAlgebra(r, 3, Fraction(2))
+    return algebra.generator_action(r.thin_edges[0]) + 1, algebra.one
+
+
+@pytest.mark.parametrize("kind", ["MultiPoly", "StateFunction"])
+def test_ring_powers_cost_squarings_plus_popcount_minus_one_products(monkeypatch, kind):
+    x, one = _ring_element(kind)
+    cls = type(x)
+    calls = []
+    mul = cls.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    expected = one
+    for k in range(18):
+        monkeypatch.setattr(cls, "__mul__", counting)
+        calls.clear()
+        got = x**k
+        monkeypatch.setattr(cls, "__mul__", mul)
+        assert got == expected, k
+        products = 0 if k == 0 else k.bit_length() - 1 + bin(k).count("1") - 1
+        assert len(calls) == products, k
+        expected = expected * x
+    with pytest.raises(ValueError if kind == "MultiPoly" else TypeError):
+        x**-1
 
 
 def test_rational_extraction_and_rendering():
