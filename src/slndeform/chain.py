@@ -19,9 +19,10 @@ make the squares anticommute, and ``check_d_squared`` verifies d o d = 0 by
 exact arithmetic.
 
 The differential keeps every arc's label, so the complex splits into one
-block per arc coloring.  ``build_complex`` colours each touched basis
-element once, to find its partners and to record its block in ``block_of``;
-d o d and the ranks run block by block over ``DeformedComplex.blocks``.
+block per arc coloring, stored as ``DeformedComplex.blocks``.
+``build_complex`` colours each touched basis element once, to record its
+block in ``block_of``, and files each entry under the block that its source
+and target share; d o d, the ranks and rescaling run block by block.
 """
 
 from __future__ import annotations
@@ -146,10 +147,12 @@ class ChainBasisElement:
 
 @dataclass
 class DeformedComplex:
-    """Basis lists per degree plus sparse differentials over Q(zeta_n).
+    """Basis lists per degree plus the sparse differential over Q(zeta_n).
 
-    ``block_of`` gives each basis element its arc-coloring block id, or
-    None if no entry touches it.
+    ``blocks`` holds the nonzero entries, as block id -> degree k ->
+    {(target, source): value}, indexed like the whole bases of degrees k+1
+    and k; no block holds an empty degree.  ``block_of`` gives each basis
+    element its arc-coloring block id, or None if no entry touches it.
     """
 
     diagram: LinkDiagram
@@ -158,8 +161,17 @@ class DeformedComplex:
     resolutions: dict[tuple[int, ...], Resolution]
     degrees: tuple[int, ...]
     basis: dict[int, tuple[ChainBasisElement, ...]]
-    differentials: dict[int, dict[tuple[int, int], CycloNumber]]
+    blocks: dict[int, dict[int, dict[tuple[int, int], CycloNumber]]]
     block_of: dict[int, tuple]
+
+    @property
+    def differentials(self) -> dict[int, dict[tuple[int, int], CycloNumber]]:
+        """The blocks merged per degree; built anew on each access, never stored."""
+        out: dict[int, dict] = {}
+        for per_degree in self.blocks.values():
+            for k, entries in per_degree.items():
+                out.setdefault(k, {}).update(entries)
+        return out
 
     def dims(self) -> dict[int, int]:
         return {k: len(self.basis[k]) for k in self.degrees}
@@ -167,42 +179,29 @@ class DeformedComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** (k % 2) * len(b) for k, b in self.basis.items())
 
-    def blocks(self) -> dict[int, dict[int, dict[tuple[int, int], CycloNumber]]]:
-        """The nonzero entries, as block id -> degree k -> {(target, source): value}.
-
-        Indices stay those of the whole bases.  An entry whose two ends lie
-        in different blocks (or in none) raises InternalCheckError.
-        """
-        out: dict[int, dict[int, dict]] = {}
-        for k, entries in self.differentials.items():
-            sources, targets = self.block_of[k], self.block_of.get(k + 1, ())
-            for (t, s), v in entries.items():
-                if v.is_zero:
-                    continue
-                b = sources[s]
-                if b is None or targets[t] != b:
-                    raise InternalCheckError(
-                        f"d_{k} entry joins {self.basis[k][s]} and "
-                        f"{self.basis[k + 1][t]} across arc colorings"
-                    )
-                out.setdefault(b, {}).setdefault(k, {})[t, s] = v
-        return out
-
     def check_d_squared(self):
         """First nonzero entry of d o d, or None if the complex is honest.
 
-        d o d is composed one arc-coloring block at a time.  A failure names
-        the square with the smallest (degree, target, source): (degree,
-        source basis element, target basis element, value).
+        d o d is composed one arc-coloring block at a time.  An entry whose
+        source or target lies outside its block (or in none) raises
+        InternalCheckError.  A failure names the square with the smallest
+        (degree, target, source): (degree, source basis element, target
+        basis element, value).
         """
         failures = {}
-        for per_degree in self.blocks().values():
+        for b, per_degree in self.blocks.items():
             for k, first in per_degree.items():
+                sources, targets = self.block_of[k], self.block_of[k + 1]
                 by_source: dict[int, list[tuple[int, CycloNumber]]] = {}
                 for (t, s), v in per_degree.get(k + 1, {}).items():
                     by_source.setdefault(s, []).append((t, v))
                 composite: dict[tuple[int, int], CycloNumber] = {}
                 for (mid, src), v1 in first.items():
+                    if sources[src] != b or targets[mid] != b:
+                        raise InternalCheckError(
+                            f"d_{k} entry of block {b} joins {self.basis[k][src]} "
+                            f"and {self.basis[k + 1][mid]} across arc colorings"
+                        )
                     for tgt, v2 in by_source.get(mid, ()):
                         cur = composite.get((tgt, src))
                         composite[tgt, src] = v2 * v1 if cur is None else cur + v2 * v1
@@ -215,13 +214,11 @@ class DeformedComplex:
         return k, self.basis[k][src], self.basis[k + 2][tgt], failures[k, tgt, src]
 
     def matrices_json(self) -> dict:
-        out = {}
-        for k in self.degrees:
-            entries = self.differentials.get(k, {})
-            out[str(k)] = [
-                [t, s, str(v)] for (t, s), v in sorted(entries.items())
-            ]
-        return out
+        merged = self.differentials
+        return {
+            str(k): [[t, s, str(v)] for (t, s), v in sorted(merged.get(k, {}).items())]
+            for k in self.degrees
+        }
 
 
 def build_complex(
@@ -261,7 +258,7 @@ def build_complex(
                 colorings.append(coloring)
         return ids[i]
 
-    differentials: dict[int, dict[tuple[int, int], CycloNumber]] = {}
+    blocks: dict[int, dict[int, dict[tuple[int, int], CycloNumber]]] = {}
     one = field.one
     for v in vertices:
         kv, rv, src_index = vdeg[v], resolutions[v], locator[v]
@@ -272,18 +269,19 @@ def build_complex(
             w = tuple(b ^ 1 if i == ci else b for i, b in enumerate(v))
             rw, tgt_index = resolutions[w], locator[w]
             coeff = one * (-1) ** sum(v[:ci])
-            entries = differentials.setdefault(kv, {})
             for s, target in _partners(
                 rv, rw, states[v], c, src_bit, tgt_index,
                 lambda s: colorings[block(kv, src_index[s], rv, s)],
             ):
-                key = (tgt_index[target], src_index[s])
-                if block(kv + 1, key[0], rw, target) != block_of[kv][key[1]]:
+                t, i = tgt_index[target], src_index[s]
+                b = block_of[kv][i]
+                if block(kv + 1, t, rw, target) != b:
                     raise InternalCheckError(
                         f"state {s} at {v} is matched across crossing {c.id} "
                         f"with {target} at {w}, of another arc coloring"
                     )
-                entries[key] = coeff  # one crossing joins a source to a target
+                # one crossing joins a source to a target
+                blocks.setdefault(b, {}).setdefault(kv, {})[t, i] = coeff
 
     return DeformedComplex(
         diagram=d,
@@ -292,7 +290,7 @@ def build_complex(
         resolutions=resolutions,
         degrees=tuple(sorted(basis)),
         basis={k_: tuple(b) for k_, b in basis.items()},
-        differentials=differentials,
+        blocks=blocks,
         block_of={k_: tuple(b) for k_, b in block_of.items()},
     )
 
@@ -313,18 +311,19 @@ def rescale_basis(cx: DeformedComplex, seed: int) -> DeformedComplex:
 
 
 def rescale_with(cx: DeformedComplex, scalars: dict[int, list]) -> DeformedComplex:
-    """Explicit diagonal change of basis; scalars indexed like the bases."""
+    """Explicit diagonal change of basis; each block rescales into itself."""
     for k in cx.degrees:
         if len(scalars[k]) != len(cx.basis[k]) or any(
             v.is_zero for v in scalars[k]
         ):
             raise ValueError("rescaling needs one nonzero scalar per basis element")
-    new_diff = {}
-    for k, entries in cx.differentials.items():
-        target = scalars.get(k + 1, [])
-        source = scalars[k]
+
+    def rescaled(k, entries):
+        target, source = scalars[k + 1], scalars[k]
         inverse = {s: source[s].inv() for s in {s for _, s in entries}}
-        new_diff[k] = {
-            (t, s): target[t] * v * inverse[s] for (t, s), v in entries.items()
-        }
-    return replace(cx, differentials=new_diff)
+        return {(t, s): target[t] * v * inverse[s] for (t, s), v in entries.items()}
+
+    return replace(cx, blocks={
+        b: {k: rescaled(k, entries) for k, entries in per_degree.items()}
+        for b, per_degree in cx.blocks.items()
+    })

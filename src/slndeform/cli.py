@@ -232,20 +232,18 @@ def cmd_complex(
 # ----------------------------------------------------------------------
 
 def _suite_lemma(cfg: RunConfig):
-    betas = []
-    for b in (cfg.beta, Fraction(2), Fraction(-3)):
-        if b not in betas:
-            betas.append(b)
+    betas = list(dict.fromkeys((cfg.beta, Fraction(2), Fraction(-3))))
     for n in range(2, cfg.n + 1):
         for beta in betas:
             report = lemma_brute_check(PotentialContext(n, beta))
-            detail = (
-                f"n={n} beta={beta}: {report.admissible_count} admissible of "
-                f"{report.tuples_checked} tuples"
-            )
             if not report.passed:
-                return False, f"{detail}; counterexample {report.counterexamples[0]}"
-    return True, detail
+                return False, (
+                    f"n={n} beta={beta}: counterexample {report.counterexamples[0]}"
+                )
+    return True, (
+        f"n={cfg.n} beta {', '.join(map(str, betas))}: "
+        f"{report.admissible_count} admissible of {report.tuples_checked} tuples"
+    )
 
 
 def _suite_projectors(cfg: RunConfig):

@@ -1,7 +1,7 @@
 """Homology of the deformed complex, three ways, and their reconciliation.
 
 * ``compute_homology``: exact kernel/image ranks of the differentials over
-  Q(zeta_n).  The complex carries its arc-coloring blocks
+  Q(zeta_n).  The complex stores its differential as arc-coloring blocks
   (``DeformedComplex.blocks``); each block of each d_k is ranked by exact
   sparse Gaussian elimination with sparsest-row pivoting.  The generators
   are the one-element blocks: the basis elements that no nonzero entry of
@@ -186,13 +186,14 @@ def compute_homology(cx: DeformedComplex) -> HomologyResult:
     """Per-degree dimensions by exact rank computation.
 
     dim H^k = dim C^k - rank(d_k) - rank(d_{k-1}), each rank summed over
-    the arc-coloring blocks of d_k; a block's rows are the targets its
-    entries reach.  Generator descriptors are read off the elements of no
-    block; ``cross_validate`` checks they account for every dimension and
-    match the survivor resolutions.
+    the stored arc-coloring blocks of d_k; a block's rows are the targets
+    its entries reach.  The blocks are taken as stored: ``check_d_squared``
+    checks that each entry lies in its block.  Generator descriptors are
+    read off the elements of no block; ``cross_validate`` checks they
+    account for every dimension and match the survivor resolutions.
     """
     ranks = Counter()
-    for per_degree in cx.blocks().values():
+    for per_degree in cx.blocks.values():
         for k, d_k in per_degree.items():
             rows: dict[int, int] = {}  # target -> row, in order of first use
             block = {(rows.setdefault(t, len(rows)), s): v for (t, s), v in d_k.items()}

@@ -268,6 +268,13 @@ def test_beta_fraction_accepted(capsys):
     assert json.loads(out)["beta"] == "1/2"
 
 
+def test_verify_text_names_every_beta_of_the_lemma(capsys):
+    code, out, _ = _run(capsys, "verify", "--n", "3", "--beta", "1/2")
+    assert code == 0
+    lemma = "admissibility lemma: n=3 beta 1/2, 2, -3: 12 admissible of 81 tuples"
+    assert lemma in out
+
+
 def test_verify_passes_by_default(capsys):
     code, out, _ = _run(capsys, "verify")
     assert code == 0
