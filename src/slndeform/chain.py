@@ -19,10 +19,10 @@ make the squares anticommute, and ``check_d_squared`` verifies d o d = 0 by
 exact arithmetic.
 
 The differential keeps every arc's label, so the complex splits into one
-block per arc coloring, stored as ``DeformedComplex.blocks``.
-``build_complex`` colours each touched basis element once, to record its
-block in ``block_of``, and files each entry under the block that its source
-and target share; d o d, the ranks and rescaling run block by block.
+block per arc coloring, stored as ``DeformedComplex.blocks``: the cube over
+the crossings free for that coloring.  ``build_complex`` assembles each cube
+directly; ``matched_pairs`` is the classifying reference it is tested against.
+d o d, the ranks and rescaling run block by block.
 """
 
 from __future__ import annotations
@@ -83,24 +83,20 @@ def classify_local(values, bit: int) -> LocalType:
     return LocalType.TYPE4 if l1 == l2 else LocalType.TYPE3
 
 
-def _partners(
-    src: Resolution, dst: Resolution, states, c: Crossing, bit: int, valid,
-    coloring=None,
-):
+def _partners(src: Resolution, dst: Resolution, states, c: Crossing, bit: int, valid):
     """(state, partner) pairs across the cube edge that flips crossing c.
 
     ``bit`` is c's bit in ``src``: type 3 states match from the 0-side and
     type 1 states from the 1-side; every other state maps to zero.  The
-    partner retains every arc's label, read through ``coloring`` (by
-    default ``src.coloring``), and must lie in ``valid``, the admissible
-    states of ``dst``; a missing partner raises InternalCheckError.
+    partner retains every arc's label and must lie in ``valid``, the
+    admissible states of ``dst``; a missing partner raises
+    InternalCheckError.
     """
     want = LocalType.TYPE3 if bit == 0 else LocalType.TYPE1
-    coloring = coloring or src.coloring
     for s in states:
         if classify_local(src.local_values(s, c), bit) is not want:
             continue
-        partner = dst.state_of(coloring(s))
+        partner = dst.state_of(src.coloring(s))
         if partner is None or partner not in valid:
             raise InternalCheckError(
                 f"type {want.value} state {s} has no admissible partner "
@@ -224,7 +220,13 @@ class DeformedComplex:
 def build_complex(
     d: LinkDiagram, n: int, *, max_crossings: int = DEFAULT_MAX_CROSSINGS
 ) -> DeformedComplex:
-    """Assemble the full cube complex for a diagram."""
+    """Assemble the cube complex, one arc-coloring cube at a time.
+
+    A crossing is free for a state with l1 = l3 != l2 at slots 1..3 (type 3
+    at bit 0, type 1 at bit 1).  The states with free crossings form one cube
+    per arc coloring, which becomes the next block: one entry per member and
+    free crossing at which the member is the source.
+    """
     k = len(d.crossings)
     if k > max_crossings:
         raise SizeBoundError(f"{k} crossings exceed the bound {max_crossings}")
@@ -232,56 +234,45 @@ def build_complex(
 
     vertices = list(product((0, 1), repeat=k))
     resolutions = {v: resolve(d, v) for v in vertices}
-    states = {v: enumerate_admissible(resolutions[v], n) for v in vertices}
     vdeg = {v: vertex_degree(d, v) for v in vertices}
+    disk = [(c.out_over, c.out_under, c.in_under) for c in d.crossings]  # slots 1..3
 
     basis: dict[int, list[ChainBasisElement]] = {}
-    locator: dict[tuple[int, ...], dict[tuple, int]] = {}  # vertex -> state -> index
+    # arc coloring -> (its free crossings, {vertex: index of its member})
+    cubes: dict[tuple, tuple[list[int], dict]] = {}
     for v in vertices:  # lexicographic vertex order, then state order
-        index = locator[v] = {}
-        for s in states[v]:
-            column = basis.setdefault(vdeg[v], [])
-            index[s] = len(column)
-            column.append(ChainBasisElement(vertex=v, state=s, degree=vdeg[v]))
-
-    # arc coloring -> block id, and back; each element is coloured at most once
-    block_ids: dict[tuple, int] = {}
-    colorings: list[tuple] = []
-    block_of = {k_: [None] * len(b) for k_, b in basis.items()}
-
-    def block(k_: int, i: int, r: Resolution, state) -> int:
-        ids = block_of[k_]
-        if ids[i] is None:
-            coloring = r.coloring(state)
-            ids[i] = block_ids.setdefault(coloring, len(colorings))
-            if ids[i] == len(colorings):
-                colorings.append(coloring)
-        return ids[i]
-
-    blocks: dict[int, dict[int, dict[tuple[int, int], CycloNumber]]] = {}
-    one = field.one
-    for v in vertices:
-        kv, rv, src_index = vdeg[v], resolutions[v], locator[v]
-        for ci, c in enumerate(d.crossings):
-            src_bit = 0 if c.sign > 0 else 1
-            if v[ci] != src_bit:
-                continue
-            w = tuple(b ^ 1 if i == ci else b for i, b in enumerate(v))
-            rw, tgt_index = resolutions[w], locator[w]
-            coeff = one * (-1) ** sum(v[:ci])
-            for s, target in _partners(
-                rv, rw, states[v], c, src_bit, tgt_index,
-                lambda s: colorings[block(kv, src_index[s], rv, s)],
-            ):
-                t, i = tgt_index[target], src_index[s]
-                b = block_of[kv][i]
-                if block(kv + 1, t, rw, target) != b:
+        r, kv = resolutions[v], vdeg[v]
+        column = basis.setdefault(kv, [])
+        slots = [(r.slot[a], r.slot[b], r.slot[c]) for a, b, c in disk]
+        for s in enumerate_admissible(r, n):
+            free = [i for i, (a, b, c) in enumerate(slots) if s[a] == s[c] != s[b]]
+            if free:
+                members = cubes.setdefault(r.coloring(s), (free, {}))[1]
+                if members.setdefault(v, len(column)) != len(column):
                     raise InternalCheckError(
-                        f"state {s} at {v} is matched across crossing {c.id} "
-                        f"with {target} at {w}, of another arc coloring"
+                        f"two states at {v} carry the arc coloring of {s}"
                     )
-                # one crossing joins a source to a target
-                blocks.setdefault(b, {}).setdefault(kv, {})[t, i] = coeff
+            column.append(ChainBasisElement(vertex=v, state=s, degree=kv))
+
+    block_of = {k_: [None] * len(b) for k_, b in basis.items()}
+    blocks: dict[int, dict[int, dict[tuple[int, int], CycloNumber]]] = {}
+    signs = (field.one, -field.one)  # by the parity of 1-bits before the crossing
+    source_bit = [0 if c.sign > 0 else 1 for c in d.crossings]
+    for b, (free, members) in enumerate(cubes.values()):
+        per_degree = blocks[b] = {}
+        for v, i in members.items():
+            kv = vdeg[v]
+            block_of[kv][i] = b
+            for ci in free:
+                if v[ci] != source_bit[ci]:
+                    continue
+                t = members.get(v[:ci] + (1 - v[ci],) + v[ci + 1:])
+                if t is None:
+                    raise InternalCheckError(
+                        f"state {basis[kv][i].state} at {v} has no admissible "
+                        f"partner across crossing {d.crossings[ci].id}"
+                    )
+                per_degree.setdefault(kv, {})[t, i] = signs[sum(v[:ci]) % 2]
 
     return DeformedComplex(
         diagram=d,

@@ -263,6 +263,11 @@ def _suite_projectors(cfg: RunConfig):
             )
             if not report.passed:
                 return False, f"{last}; {report.failures[0]}"
+    if not last:
+        raise SizeBoundError(
+            f"--max-raw-states {cfg.max_raw_states} admits no projector "
+            f"resolution at n={cfg.n}"
+        )
     return True, last
 
 
@@ -363,33 +368,35 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def command(name, help, diagram=True):
-        """A subcommand with --n and --format; each caller adds what it reads."""
-        p = sub.add_parser(name, help=help)
+        """A subcommand with --n and --format; options not given stay unset."""
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
         if diagram:
             p.add_argument("diagram", help="diagram file or bundled fixture name")
-        p.add_argument("--n", type=int, default=2, help="order of the root of unity")
-        p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
+        p.add_argument("--n", type=int, help="order of the root of unity")
+        p.add_argument("--format", dest="fmt", choices=("text", "json"))
         return p
 
     def crossing_bound(p):
-        p.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS)
+        p.add_argument("--max-crossings", type=int)
         return p
 
     crossing_bound(command("homology", "three-way homology check"))
     p = command("states", "admissible states of one resolution")
     p.add_argument("--resolution", required=True, help="bit string, one per crossing")
-    p.add_argument("--list", action="store_true", help="list the states")
+    p.add_argument("--list", action="store_true", default=False, help="list the states")
     p = crossing_bound(command("complex", "chain dimensions and matrices"))
-    p.add_argument("--matrices", action="store_true", help="dump sparse differentials")
+    p.add_argument(
+        "--matrices", action="store_true", default=False, help="dump sparse differentials"
+    )
     p = crossing_bound(command("verify", "run the identity suites", diagram=False))
-    p.add_argument("--beta", default="1", help="nonzero rational deformation scale")
-    p.add_argument("--max-raw-states", type=int, default=DEFAULT_MAX_RAW_STATES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--beta", help="nonzero rational deformation scale")
+    p.add_argument("--max-raw-states", type=int)
+    p.add_argument("--seed", type=int)
     return top
 
 
 def _config(args) -> RunConfig:
-    """RunConfig from the options the command accepts; the rest keep defaults."""
+    """RunConfig from the options given; RunConfig holds every default."""
     opts = vars(args)
     names = [f.name for f in fields(RunConfig) if f.name in opts]
     return RunConfig(**{name: opts[name] for name in names})

@@ -2,7 +2,11 @@
 
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_states import braid_diagrams
 
+from slndeform import chain
 from slndeform.chain import (
     LocalType,
     _partners,
@@ -80,22 +84,77 @@ def test_missing_partner_is_detected_and_names_the_crossing():
         list(_partners(r0, r1, states0, d.crossings[0], 0, set()))
 
 
-def test_partner_of_another_arc_coloring_is_rejected(monkeypatch):
-    # an admissible partner that does not keep the labels passes the
-    # ``valid`` check and must still be caught while the complex is built
-    n = 2
-    original = Resolution.state_of
-    admissible = {}
+def test_missing_cube_partner_is_detected_and_names_the_crossing(monkeypatch):
+    # drop, at vertex (1, 0) of the Hopf cube, one type 1 state at crossing 0:
+    # its type 3 partner at (0, 0) must find no target
+    d, n = fixture("hopf_pos"), 2
+    c = d.crossings[0]
+    r1 = resolve(d, (1, 0))
+    dropped = next(
+        s for s in enumerate_admissible(r1, n)
+        if classify_local(r1.local_values(s, c), 1) is LocalType.TYPE1
+    )
+    source = resolve(d, (0, 0)).state_of(r1.coloring(dropped))
 
-    def next_admissible(self, coloring):
-        valid = admissible.get(self.choice)
-        if valid is None:
-            valid = admissible[self.choice] = enumerate_admissible(self, n)
-        return valid[(valid.index(original(self, coloring)) + 1) % len(valid)]
+    def drop_one(r, n):
+        states = enumerate_admissible(r, n)
+        if r.choice != (1, 0):
+            return states
+        return tuple(s for s in states if s != dropped)
 
-    monkeypatch.setattr(Resolution, "state_of", next_admissible)
-    with pytest.raises(InternalCheckError, match="another arc coloring"):
-        build_complex(fixture("hopf_pos"), n)
+    monkeypatch.setattr(chain, "enumerate_admissible", drop_one)
+    with pytest.raises(InternalCheckError, match=f"crossing {c.id}") as info:
+        build_complex(d, n)
+    assert str(source) in str(info.value)
+
+
+def test_two_states_of_one_coloring_at_a_vertex_are_rejected(monkeypatch):
+    # were two members filed under one coloring at one vertex, one would
+    # silently replace the other in its cube
+    monkeypatch.setattr(Resolution, "coloring", lambda self, state: (0,))
+    with pytest.raises(InternalCheckError, match="arc coloring"):
+        build_complex(fixture("hopf_pos"), 2)
+
+
+def _assert_entries_are_matched_pairs(cx):
+    """The entries on every cube edge are exactly ``matched_pairs`` there."""
+    on_edge = {}
+    for k, entries in cx.differentials.items():
+        for t, s in entries:
+            ends = (cx.basis[k][s], cx.basis[k + 1][t])
+            low, high = sorted(ends, key=lambda el: el.vertex)
+            ci = next(i for i, bit in enumerate(low.vertex) if bit != high.vertex[i])
+            on_edge.setdefault((low.vertex, ci), set()).add((low.state, high.state))
+    for v, r0 in cx.resolutions.items():
+        for ci, bit in enumerate(v):
+            if bit == 0:
+                w = v[:ci] + (1,) + v[ci + 1:]
+                pairs = matched_pairs(r0, cx.resolutions[w], ci, cx.n)
+                assert on_edge.pop((v, ci), set()) == set(pairs), (v, ci)
+    assert not on_edge
+
+
+ORACLE_CASES = [
+    pytest.param(fixture(name), n, id=f"{name}-{n}")
+    for name in fixture_names()
+    for n in (2, 3)
+] + [
+    pytest.param(
+        parse_pd("X[1,6,2,7] X[3,8,4,9] X[5,10,6,1] X[7,2,8,3] X[9,4,10,5]"), 3,
+        id="T(2,5)-3",
+    ),
+]
+
+
+@pytest.mark.parametrize("d,n", ORACLE_CASES)
+def test_cube_entries_are_the_matched_pairs(d, n):
+    _assert_entries_are_matched_pairs(build_complex(d, n))
+
+
+@settings(max_examples=8)
+@given(braid_diagrams(), st.sampled_from((2, 3)))
+def test_cube_entries_are_the_matched_pairs_on_generated_diagrams(d, n):
+    _assert_entries_are_matched_pairs(build_complex(d, n))
 
 
 def test_matched_pairs_validates_vertices():

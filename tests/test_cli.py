@@ -307,6 +307,18 @@ def test_verify_above_lemma_cap_is_an_input_error(capsys, monkeypatch):
     assert err.startswith("input error:") and "--n <= 6" in err
 
 
+@pytest.mark.parametrize("n,bound", [(2, 1), (3, 2)])
+def test_verify_with_no_projector_resolution_in_bound_exits_3(capsys, n, bound):
+    # a bound below every resolution's raw state count leaves the projector
+    # suite nothing to check, which must not read as a pass
+    code, out, err = _run(
+        capsys, "verify", "--n", str(n), "--max-raw-states", str(bound)
+    )
+    assert code == 3
+    assert out == ""
+    assert f"--max-raw-states {bound}" in err and f"n={n}" in err
+
+
 def test_output_is_deterministic(capsys):
     outputs = []
     for _ in range(2):

@@ -274,6 +274,20 @@ def test_block_of_is_the_arc_coloring_partition(code, n):
                 assert block_of_coloring.setdefault(coloring, b) == b, (k, el)
     # equal colorings share a block id, and distinct colorings never do
     assert len(set(block_of_coloring.values())) == len(block_of_coloring)
+    # each block is a cube over the set F of crossings where its members'
+    # vertices differ: 2^|F| members, one per vertex, joined by
+    # |F| * 2^(|F| - 1) entries
+    members = {}
+    for k in cx.degrees:
+        for el, b in zip(cx.basis[k], cx.block_of[k]):
+            if b is not None:
+                members.setdefault(b, []).append(el.vertex)
+    assert members.keys() == cx.blocks.keys()
+    for b, vertices in members.items():
+        free = {i for i, bits in enumerate(zip(*vertices)) if len(set(bits)) == 2}
+        assert len(set(vertices)) == len(vertices) == 2 ** len(free), b
+        entries = sum(len(e) for e in cx.blocks[b].values())
+        assert entries == len(free) * 2 ** (len(free) - 1), b
 
     rescaled = rescale_basis(cx, seed=n)
     assert rescaled.block_of == cx.block_of
