@@ -225,7 +225,8 @@ def build_complex(
     A crossing is free for a state with l1 = l3 != l2 at slots 1..3 (type 3
     at bit 0, type 1 at bit 1).  The states with free crossings form one cube
     per arc coloring, which becomes the next block: one entry per member and
-    free crossing at which the member is the source.
+    free crossing at which the member is the source.  A cube with fewer than
+    2^|free| members raises InternalCheckError.
     """
     k = len(d.crossings)
     if k > max_crossings:
@@ -258,7 +259,7 @@ def build_complex(
     blocks: dict[int, dict[int, dict[tuple[int, int], CycloNumber]]] = {}
     signs = (field.one, -field.one)  # by the parity of 1-bits before the crossing
     source_bit = [0 if c.sign > 0 else 1 for c in d.crossings]
-    for b, (free, members) in enumerate(cubes.values()):
+    for b, (coloring, (free, members)) in enumerate(cubes.items()):
         per_degree = blocks[b] = {}
         for v, i in members.items():
             kv = vdeg[v]
@@ -273,6 +274,11 @@ def build_complex(
                         f"partner across crossing {d.crossings[ci].id}"
                     )
                 per_degree.setdefault(kv, {})[t, i] = signs[sum(v[:ci]) % 2]
+        if len(members) != 1 << len(free):  # a lost all-source member misses no lookup
+            raise InternalCheckError(
+                f"the cube of arc coloring {coloring} has {len(members)} members, "
+                f"not 2^{len(free)}"
+            )
 
     return DeformedComplex(
         diagram=d,

@@ -295,7 +295,7 @@ def _suite_complex(cfg: RunConfig):
     last = ""
     for name in VERIFY_DIAGRAMS:
         d = parse(FIXTURES[name])
-        cx = build_complex(d, cfg.n, max_crossings=cfg.max_crossings)
+        cx = build_complex(d, cfg.n)
         failure = cx.check_d_squared()
         if failure is not None:
             return False, f"{name}: d^2 != 0 at {failure}"
@@ -315,7 +315,7 @@ def _suite_cross_validate(cfg: RunConfig):
     last = ""
     for name in VERIFY_DIAGRAMS:
         d = parse(FIXTURES[name])
-        report = cross_validate(d, cfg.n, max_crossings=cfg.max_crossings)
+        report = cross_validate(d, cfg.n)
         if not report.passed:
             return False, f"{name}: {report.messages[0]}"
         last = f"{name}: three-way agreement on {_dims_str(report.closed.dims)}"
@@ -388,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--matrices", action="store_true", default=False, help="dump sparse differentials"
     )
-    p = crossing_bound(command("verify", "run the identity suites", diagram=False))
+    p = command("verify", "run the identity suites", diagram=False)
     p.add_argument("--beta", help="nonzero rational deformation scale")
     p.add_argument("--max-raw-states", type=int)
     p.add_argument("--seed", type=int)

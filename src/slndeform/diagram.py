@@ -6,16 +6,18 @@ Two input formats are supported.
 rotationally starting from the incoming under-strand ``a``, so the
 under-strand runs a -> c and the over-strand occupies slots b and d.  The
 over-strand's direction is not part of the notation; it is recovered by
-constraint propagation (every arc must begin exactly once and end exactly
-once), with a numeric-successor tie-break for components that never pass
-under.  The crossing sign is +1 when the over-strand runs b -> d and -1
-when it runs d -> b; under this convention the PD
-``X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]`` is the writhe +3 trefoil.
+walking each component once.  The strand passes a <-> c or b <-> d at each
+crossing, so the arcs form one cycle per component; its under passes fix
+its direction (they must agree), and a component that never passes under
+is oriented by a numeric-successor tie-break.  The crossing sign is +1 when
+the over-strand runs b -> d and -1 when it runs d -> b; under this
+convention the PD ``X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]`` is the writhe +3
+trefoil.
 
 ``C[s;a,b,c,d]`` tokens carry the same four slots plus an explicit sign
 ``s`` that is taken verbatim, so no sign convention is involved; the
-over-strand's direction is still recovered by the same consistency
-propagation.  ``U`` adds a crossingless circle in either format.
+over-strand's direction is still recovered by the same walk.  ``U`` adds a
+crossingless circle in either format.
 """
 
 from __future__ import annotations
@@ -157,95 +159,81 @@ def parse_pd(text: str) -> LinkDiagram:
         if a == c or b == d:
             raise DiagramError(f"token {tok!r}: strand re-enters its own slot")
         raw.append((a, b, c, d))
-    return _orient_and_assemble(raw, None, free_loops)
+    return _orient(raw, None, free_loops)
 
 
-def _orient_and_assemble(
+def _orient(
     raw: list[tuple[int, int, int, int]],
     signs: list[int] | None,
     free_loops: int,
 ) -> LinkDiagram:
-    """Infer over-strand directions; signs from the PD rule or verbatim."""
+    """Walk each component once; signs from the PD rule or verbatim.
+
+    The strand passes a <-> c (under) or b <-> d (over) at each crossing, so
+    the arcs form one cycle per component, walked from its smallest arc.
+    Its under passes fix its direction and must agree; its over passes then
+    give each crossing's over-strand its direction.
+    """
     arcs = _check_arc_occurrences(raw)
+    at: dict[int, list[tuple[int, int]]] = {arc: [] for arc in arcs}
+    for i, slots in enumerate(raw):
+        for s, arc in enumerate(slots):
+            at[arc].append((i, s))
 
-    # Occurrences: arc -> [(crossing, slot)] with slots named a/b/c/d.
-    occurrences: dict[int, list[tuple[int, str]]] = {a: [] for a in arcs}
-    for i, (a, b, c, d) in enumerate(raw):
-        for arc, slot in ((a, "a"), (b, "b"), (c, "c"), (d, "d")):
-            occurrences[arc].append((i, slot))
-
-    # direction[i] is "bd" (over runs b->d, sign +1) or "db" (sign -1).
-    direction: dict[int, str] = {}
-
-    def role(arc: int, here: tuple[int, str]):
-        """The known start/end role of arc's other occurrence, if any."""
-        for occ in occurrences[arc]:
-            if occ == here:
-                continue
-            i, slot = occ
-            if slot == "a":
-                return "end"
-            if slot == "c":
-                return "start"
-            if i in direction:
-                over_in = raw[i][1] if direction[i] == "bd" else raw[i][3]
-                return "end" if arc == over_in else "start"
-            return None
-        return None
-
-    def infer(i: int):
-        """Forced direction at crossing i, or None; DiagramError on clash."""
-        _, b, _, d = raw[i]
-        want = None
-        other_b = role(b, (i, "b"))
-        if other_b == "end":
-            want = "db"  # b already ends elsewhere, so b starts here
-        elif other_b == "start":
-            want = "bd"
-        other_d = role(d, (i, "d"))
-        if other_d == "end":
-            want_d = "bd"
-        elif other_d == "start":
-            want_d = "db"
-        else:
-            want_d = None
-        if want is not None and want_d is not None and want != want_d:
-            raise DiagramError(
-                f"crossing {i}: no consistent orientation for arcs {b}, {d}"
-            )
-        return want if want is not None else want_d
-
-    undecided = set(range(len(raw)))
-    while undecided:
-        progressed = False
-        for i in sorted(undecided):
-            got = infer(i)
-            if got is not None:
-                direction[i] = got
-                undecided.discard(i)
-                progressed = True
-        if progressed:
+    # [arcs in walk order, {over crossing: walk enters at b}, walk is forward]
+    cycles: list[list] = []
+    seen: set[int] = set()
+    for start in arcs:
+        if start in seen:
             continue
-        # Components that never pass under: break the tie by arc numbering,
-        # sending each over-strand towards its cyclic numeric successor.
-        i = min(undecided)
+        walk, over, under = [], {}, set()
+        arc, (i, s) = start, at[start][0]
+        while True:
+            walk.append(arc)
+            seen.add(arc)
+            if s % 2:
+                over[i] = s == 1
+            else:
+                under.add(s == 0)
+            arc = raw[i][s ^ 2]  # slot a <-> c, b <-> d
+            if arc == start:
+                break
+            first, second = at[arc]
+            i, s = second if first == (i, s ^ 2) else first
+        if len(under) > 1:
+            raise DiagramError(
+                f"inconsistent orientation: the component through arc {start} "
+                "passes under in both directions"
+            )
+        cycles.append([walk, over, under.pop() if under else None])
+
+    # Components that never pass under, in order of their smallest crossing:
+    # that crossing's over-strand runs towards its cyclic numeric successor
+    # among the labels of this component and every later such component.
+    loose = sorted((min(c[1]), k) for k, c in enumerate(cycles) if c[2] is None)
+    for m, (i, k) in enumerate(loose):
+        labels = sorted(arc for _, j in loose[m:] for arc in cycles[j][0])
+        succ = dict(zip(labels, labels[1:] + labels[:1]))
         _, b, _, d = raw[i]
-        labels = sorted(
-            {arc for j in undecided for arc in (raw[j][1], raw[j][3])}
-        )
-        succ = {x: labels[(k + 1) % len(labels)] for k, x in enumerate(labels)}
-        direction[i] = "bd" if succ.get(b) == d else "db" if succ.get(d) == b else "bd"
-        undecided.discard(i)
+        cycles[k][2] = cycles[k][1][i] == (succ[b] == d or succ[d] != b)
+
+    b_to_d: dict[int, bool] = {}  # crossing -> its over-strand runs b -> d
+    components = []
+    for walk, over, forward in cycles:
+        b_to_d.update((i, at_b == forward) for i, at_b in over.items())
+        components.append(tuple(walk) if forward else (walk[0], *walk[:0:-1]))
 
     crossings = []
     for i, (a, b, c, d) in enumerate(raw):
-        if direction[i] == "bd":
-            sign = +1 if signs is None else signs[i]
-            crossings.append(Crossing(i, sign, a, b, c, d))
-        else:
-            sign = -1 if signs is None else signs[i]
-            crossings.append(Crossing(i, sign, a, d, c, b))
-    return _assemble(crossings, free_loops, arcs)
+        sign = (1 if b_to_d[i] else -1) if signs is None else signs[i]
+        in_over, out_over = (b, d) if b_to_d[i] else (d, b)
+        crossings.append(Crossing(i, sign, a, in_over, c, out_over))
+    return LinkDiagram(
+        crossings=tuple(crossings),
+        free_loops=free_loops,
+        arcs=tuple(arcs),
+        components=tuple(components),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +258,7 @@ def parse_signed(text: str) -> LinkDiagram:
             raise DiagramError(f"token {tok!r}: strand re-enters its own slot")
         signs.append(+1 if s == "+" else -1)
         raw.append((a, b, c, d))
-    return _orient_and_assemble(raw, signs, free_loops)
+    return _orient(raw, signs, free_loops)
 
 
 def parse(text: str) -> LinkDiagram:
@@ -281,64 +269,6 @@ def parse(text: str) -> LinkDiagram:
     if has_c and has_x:
         raise DiagramError("cannot mix X[...] and C[...] tokens in one diagram")
     return parse_signed(text) if has_c else parse_pd(text)
-
-
-# ----------------------------------------------------------------------
-# Assembly: orientation consistency and component tracing
-# ----------------------------------------------------------------------
-
-def _assemble(
-    crossings: list[Crossing], free_loops: int, arcs: list[int]
-) -> LinkDiagram:
-    ends: dict[int, tuple[int, str]] = {}
-    starts: dict[int, tuple[int, str]] = {}
-    for c in crossings:
-        for arc, table, kind in (
-            (c.in_under, ends, "under"),
-            (c.in_over, ends, "over"),
-            (c.out_under, starts, "under"),
-            (c.out_over, starts, "over"),
-        ):
-            if arc in table:
-                raise DiagramError(
-                    f"inconsistent orientation: arc {arc} "
-                    f"{'ends' if table is ends else 'starts'} twice"
-                )
-            table[arc] = (c.id, kind)
-    missing = sorted(set(arcs) - set(ends)) + sorted(set(arcs) - set(starts))
-    if missing:
-        raise DiagramError(f"inconsistent orientation around arcs {sorted(set(missing))}")
-
-    # successor: follow the strand through the crossing where the arc ends
-    successor = {}
-    for arc in arcs:
-        cid, kind = ends[arc]
-        c = crossings[cid]
-        successor[arc] = c.out_under if kind == "under" else c.out_over
-
-    components = []
-    seen: set[int] = set()
-    for arc in arcs:
-        if arc in seen:
-            continue
-        cycle = [arc]
-        seen.add(arc)
-        nxt = successor[arc]
-        while nxt != arc:
-            cycle.append(nxt)
-            seen.add(nxt)
-            nxt = successor[nxt]
-        components.append(tuple(cycle))
-    components.sort(key=lambda comp: min(comp))
-
-    if not crossings and not free_loops and not arcs:
-        raise DiagramError("empty diagram")
-    return LinkDiagram(
-        crossings=tuple(crossings),
-        free_loops=free_loops,
-        arcs=tuple(arcs),
-        components=tuple(components),
-    )
 
 
 # ----------------------------------------------------------------------

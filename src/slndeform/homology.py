@@ -14,7 +14,8 @@
   the degree off that single resolution; no linear algebra at all.
 
 ``cross_validate`` runs all three and insists on identical degree->dimension
-tables plus Euler-characteristic agreement with the chain level.  None of
+tables and generator lists plus Euler-characteristic agreement with the
+chain level.  None of
 the three reads the deformation scale beta (see ``chain``).
 """
 
@@ -304,6 +305,8 @@ def cross_validate(
         )
     if computed.generators != survivors.generators:
         report.messages.append("survivor generator lists disagree")
+    if closed.generators != survivors.generators:
+        report.messages.append("closed-form and survivor generator lists disagree")
     if cx.euler_characteristic() != computed.euler_characteristic():
         report.messages.append(
             f"chain Euler characteristic {cx.euler_characteristic()} != "

@@ -108,6 +108,25 @@ def test_missing_cube_partner_is_detected_and_names_the_crossing(monkeypatch):
     assert str(source) in str(info.value)
 
 
+def test_incomplete_cube_is_rejected(monkeypatch):
+    # drop the vertex-(0, 0) member of one Hopf block: it is the source at
+    # both free crossings, so no target lookup misses it, and without the
+    # size check the complex builds, d o d vanishes and the homology is wrong
+    d, n = fixture("hopf_pos"), 2
+    dropped = (0, 1)
+
+    def drop_one(r, n):
+        states = enumerate_admissible(r, n)
+        if r.choice != (0, 0):
+            return states
+        assert dropped in states
+        return tuple(s for s in states if s != dropped)
+
+    monkeypatch.setattr(chain, "enumerate_admissible", drop_one)
+    with pytest.raises(InternalCheckError, match="3 members, not 2\\^2"):
+        build_complex(d, n)
+
+
 def test_two_states_of_one_coloring_at_a_vertex_are_rejected(monkeypatch):
     # were two members filed under one coloring at one vertex, one would
     # silently replace the other in its cube

@@ -232,6 +232,14 @@ def test_states_rejects_options_it_does_not_read(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_verify_rejects_max_crossings(capsys):
+    # verify's diagrams are fixed and have at most 3 crossings
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max-crossings", "12"])
+    assert exc.value.code == 2
+    assert "--max-crossings" in capsys.readouterr().err
+
+
 def test_complex_json_schema(capsys):
     code, out, _ = _run(capsys, "complex", "hopf_pos", "--matrices",
                         "--format", "json")

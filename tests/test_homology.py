@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from slndeform.chain import build_complex, rescale_basis
+from slndeform import homology
 from slndeform.cyclotomic import CycloField
 from slndeform.diagram import parse, parse_pd
 from slndeform.errors import InternalCheckError
@@ -12,6 +13,7 @@ from slndeform.fixtures import FIXTURES, fixture, fixture_names
 from slndeform.homology import (
     GeneratorDescriptor,
     _non_survivor,
+    _result,
     _survivor_psi,
     closed_form,
     compute_homology,
@@ -102,6 +104,24 @@ def test_hopf_cross_validation():
         rep = cross_validate(fixture("hopf_pos"), n)
         assert rep.passed
         assert rep.computed.dims == {0: n, 2: n * (n - 1)}
+
+
+def test_closed_form_generators_must_match_the_survivors(monkeypatch):
+    # swapping the degrees of psi = (0, 0) and (0, 1) keeps the dims
+    real = closed_form
+
+    def swapped(d, n):
+        swap = {(0, 0): (0, 1), (0, 1): (0, 0)}
+        degree = {g.psi: g.degree for g in real(d, n).generators}
+        gens = [GeneratorDescriptor(degree[swap.get(p, p)], p) for p in degree]
+        return _result(gens)
+
+    monkeypatch.setattr(homology, "closed_form", swapped)
+    rep = cross_validate(fixture("hopf_pos"), 2)
+    assert rep.closed.dims == rep.survivors.dims == rep.computed.dims
+    assert rep.closed.generators != rep.survivors.generators
+    assert not rep.passed
+    assert rep.messages == ["closed-form and survivor generator lists disagree"]
 
 
 def test_trefoil_cross_validation():
