@@ -147,8 +147,12 @@ class DeformedComplex:
 
     ``blocks`` holds the nonzero entries, as block id -> degree k ->
     {(target, source): value}, indexed like the whole bases of degrees k+1
-    and k; no block holds an empty degree.  ``block_of`` gives each basis
-    element its arc-coloring block id, or None if no entry touches it.
+    and k; no block holds an empty degree.  ``build_complex`` files each
+    block's entries crossing-major (free crossings outer, members inner), so
+    the entries across the block's first free crossing come first; the
+    matching in ``homology.matrix_rank`` relies on that order.  ``block_of``
+    gives each basis element its arc-coloring block id, or None if no entry
+    touches it.
     """
 
     diagram: LinkDiagram
@@ -225,7 +229,8 @@ def build_complex(
     A crossing is free for a state with l1 = l3 != l2 at slots 1..3 (type 3
     at bit 0, type 1 at bit 1).  The states with free crossings form one cube
     per arc coloring, which becomes the next block: one entry per member and
-    free crossing at which the member is the source.  A cube with fewer than
+    free crossing at which the member is the source, filed crossing-major
+    (see ``DeformedComplex``).  A cube with fewer than
     2^|free| members raises InternalCheckError.
     """
     k = len(d.crossings)
@@ -262,11 +267,12 @@ def build_complex(
     for b, (coloring, (free, members)) in enumerate(cubes.items()):
         per_degree = blocks[b] = {}
         for v, i in members.items():
-            kv = vdeg[v]
-            block_of[kv][i] = b
-            for ci in free:
+            block_of[vdeg[v]][i] = b
+        for ci in free:  # crossing-major: the first free crossing's entries first
+            for v, i in members.items():
                 if v[ci] != source_bit[ci]:
                     continue
+                kv = vdeg[v]
                 t = members.get(v[:ci] + (1 - v[ci],) + v[ci + 1:])
                 if t is None:
                     raise InternalCheckError(

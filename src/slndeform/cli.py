@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import product
 
 from .chain import DEFAULT_MAX_CROSSINGS, build_complex, rescale_basis
-from .diagram import DiagramError, LinkDiagram, parse, writhe
+from .diagram import DiagramError, LinkDiagram, linking_matrix, parse, writhe
 from .errors import InternalCheckError, SizeBoundError
 from .fixtures import FIXTURES
 from .homology import compute_homology, cross_validate
@@ -89,16 +89,20 @@ class RunConfig:
 
 
 def _load_diagram(source: str) -> tuple[str, LinkDiagram]:
+    """Parse a file or fixture; the linking matrix rejects a non-planar code."""
     if os.path.exists(source):
         try:
             with open(source, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise DiagramError(f"cannot read {source!r}: {exc}") from None
-        return source, parse(text)
-    if source in FIXTURES:
-        return source, parse(FIXTURES[source])
-    raise DiagramError(f"{source!r} is neither a file nor a bundled fixture name")
+    elif source in FIXTURES:
+        text = FIXTURES[source]
+    else:
+        raise DiagramError(f"{source!r} is neither a file nor a bundled fixture name")
+    d = parse(text)
+    linking_matrix(d)
+    return source, d
 
 
 def _emit(payload: dict, lines: list[str], cfg: RunConfig):

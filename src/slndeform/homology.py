@@ -2,10 +2,17 @@
 
 * ``compute_homology``: exact kernel/image ranks of the differentials over
   Q(zeta_n).  The complex stores its differential as arc-coloring blocks
-  (``DeformedComplex.blocks``); each block of each d_k is ranked by exact
-  sparse Gaussian elimination with sparsest-row pivoting.  The generators
-  are the one-element blocks: the basis elements that no nonzero entry of
-  any differential touches, marked None in ``block_of``.
+  (``DeformedComplex.blocks``).  Each block is a cube of isomorphisms over
+  its free crossings, hence acyclic, and its entries are filed
+  crossing-major, so a greedy matching in entry order pairs the cube along
+  its first free crossing: a triangular (Morse) matching, as in
+  Bar-Natan's cancellation.  ``matrix_rank`` takes the number of pairs as
+  the rank when it meets a proven ceiling, and otherwise falls back to
+  exact sparse Gaussian elimination with sparsest-row pivoting.  The
+  ceiling rests on d o d = 0, which ``check_d_squared`` checks (run by
+  ``cross_validate`` and by ``slndeform verify``).  The generators are the
+  one-element blocks: the basis elements that no nonzero entry of any
+  differential touches, marked None in ``block_of``.
 * ``closed_form``: the combinatorial answer -- one generator per coloring
   of the components by roots of unity, in degree given by the linking
   numbers of the preimage sublinks, n^l generators in total.
@@ -52,7 +59,55 @@ __all__ = [
 # Exact rank of a sparse matrix over Q(zeta_n)
 # ----------------------------------------------------------------------
 
-def matrix_rank(entries: dict, nrows: int) -> int:
+def matrix_rank(entries: dict, nrows: int, *, ceiling: int | None = None) -> int:
+    """Rank of the matrix {(row, column): value} with rows 0..nrows-1.
+
+    Without ``ceiling`` the rank comes from exact elimination.  A caller
+    that has proven the rank is at most ``ceiling`` lets the rank be read
+    off a triangular matching instead (``_triangular_pairs``): when it has
+    ``ceiling`` pairs, the rank is at least and at most ``ceiling``, with no
+    field arithmetic.  Any other matching falls back to elimination.
+    """
+    if ceiling is not None and _triangular_pairs(entries) == ceiling:
+        return ceiling
+    return _eliminate(entries, nrows)
+
+
+def _triangular_pairs(entries: dict) -> int | None:
+    """Pairs of the greedy matching, or None when it is not triangular.
+
+    Columns and rows are paired along nonzero entries, greedily in the
+    dict's insertion order.  Column c precedes matched column c' when c has
+    a nonzero entry in the row paired with c'; if a Kahn pass orders every
+    matched column, the matched submatrix is triangular with a nonzero
+    diagonal, so the rank is at least the number of pairs.
+    """
+    nonzero = [key for key, v in entries.items() if not v.is_zero]
+    row_of: dict = {}  # matched column -> its row
+    column_of: dict = {}  # matched row -> its column
+    for r, c in nonzero:
+        if c not in row_of and r not in column_of:
+            row_of[c] = r
+            column_of[r] = c
+    after: dict = {c: [] for c in row_of}
+    indegree = dict.fromkeys(row_of, 0)
+    for r, c in nonzero:
+        later = column_of.get(r)
+        if later is not None and later != c and c in row_of:
+            after[c].append(later)
+            indegree[later] += 1
+    ready = [c for c, deg in indegree.items() if not deg]
+    ordered = 0
+    while ready:
+        ordered += 1
+        for c in after[ready.pop()]:
+            indegree[c] -= 1
+            if not indegree[c]:
+                ready.append(c)
+    return ordered if ordered == len(row_of) else None
+
+
+def _eliminate(entries: dict, nrows: int) -> int:
     """Rank by exact elimination; pivots favor the sparsest remaining row."""
     rows: list[dict] = [dict() for _ in range(nrows)]
     for (r, c), v in entries.items():
@@ -188,17 +243,29 @@ def compute_homology(cx: DeformedComplex) -> HomologyResult:
 
     dim H^k = dim C^k - rank(d_k) - rank(d_{k-1}), each rank summed over
     the stored arc-coloring blocks of d_k; a block's rows are the targets
-    its entries reach.  The blocks are taken as stored: ``check_d_squared``
-    checks that each entry lies in its block.  Generator descriptors are
-    read off the elements of no block; ``cross_validate`` checks they
-    account for every dimension and match the survivor resolutions.
+    its entries reach.  A block's degrees are ranked in ascending order,
+    each with the ceiling (its members in degree k) - rank(its d_{k-1}),
+    so ``matrix_rank`` can prove the rank by a matching.  That ceiling
+    holds only if d o d = 0 and every entry lies in its block, which
+    ``check_d_squared`` checks (``cross_validate`` and ``slndeform verify``
+    run it; so does the benchmark).  Generator descriptors are read off the
+    elements of no block; ``cross_validate`` checks they account for every
+    dimension and match the survivor resolutions.
     """
+    members = {k: Counter(cx.block_of[k]) for k in cx.degrees}  # k -> block -> size
     ranks = Counter()
-    for per_degree in cx.blocks.values():
-        for k, d_k in per_degree.items():
+    for b, per_degree in cx.blocks.items():
+        block_rank: dict[int, int] = {}  # k -> rank of the block's d_k
+        for k in sorted(per_degree):
             rows: dict[int, int] = {}  # target -> row, in order of first use
-            block = {(rows.setdefault(t, len(rows)), s): v for (t, s), v in d_k.items()}
-            ranks[k] += matrix_rank(block, len(rows))
+            block = {
+                (rows.setdefault(t, len(rows)), s): v
+                for (t, s), v in per_degree[k].items()
+            }
+            block_rank[k] = matrix_rank(
+                block, len(rows), ceiling=members[k][b] - block_rank.get(k - 1, 0)
+            )
+            ranks[k] += block_rank[k]
     dims = {}
     for k in cx.degrees:
         dim = len(cx.basis[k]) - ranks[k] - ranks[k - 1]

@@ -177,6 +177,25 @@ def test_missing_diagram_is_input_error(capsys):
     assert "fixture" in err
 
 
+# (1, 5) crosses each of (2, 4) and (3, 7) once: it parses, but no planar
+# diagram has it
+NON_PLANAR = "X[5,4,1,2] X[1,7,5,3] X[6,7,8,3] X[8,4,6,2]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology"],
+    ["complex", "--matrices"],
+    ["states", "--resolution", "0000"],
+], ids=["homology", "complex", "states"])
+def test_non_planar_code_is_input_error(tmp_path, capsys, argv):
+    f = tmp_path / "non_planar.pd"
+    f.write_text(NON_PLANAR)
+    code, out, err = _run(capsys, argv[0], str(f), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "not planar-consistent" in err
+
+
 def test_diagram_file_loading(tmp_path, capsys):
     f = tmp_path / "hopf.pd"
     f.write_text("X[1,4,2,3] X[3,2,4,1]\n")

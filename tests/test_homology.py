@@ -3,6 +3,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slndeform.chain import build_complex, rescale_basis
 from slndeform import homology
@@ -21,6 +22,7 @@ from slndeform.homology import (
     matrix_rank,
     survivors_combinatorial,
 )
+from test_states import braid_diagrams
 
 TORUS_2_3 = FIXTURES["trefoil_right"]
 TORUS_2_5 = "X[1,6,2,7] X[3,8,4,9] X[5,10,6,1] X[7,2,8,3] X[9,4,10,5]"
@@ -42,6 +44,117 @@ def test_matrix_rank_small_cases():
     }
     assert matrix_rank(entries, 3) == 2
     assert matrix_rank({(0, 0): zero}, 1) == 0
+
+
+# ----------------------------------------------------------------------
+# Ranks proven by a triangular matching under a ceiling
+# ----------------------------------------------------------------------
+
+def _no_elimination(entries, nrows):
+    raise AssertionError("matrix_rank fell back to elimination")
+
+
+def test_a_cyclic_matching_falls_back_to_elimination():
+    one = CycloField(2).one
+    # greedy pairs (0, 0) and (1, 1); each column also meets the other's
+    # row, so the matched submatrix is not triangular
+    ones = {(0, 0): one, (0, 1): one, (1, 0): one, (1, 1): one}
+    assert matrix_rank(ones, 2, ceiling=2) == 1
+
+
+def test_a_triangular_matching_meeting_its_ceiling_is_the_rank(monkeypatch):
+    one = CycloField(3).one
+    monkeypatch.setattr(homology, "_eliminate", _no_elimination)
+    assert matrix_rank({(0, 0): one, (0, 1): one, (1, 1): one}, 2, ceiling=2) == 2
+    assert matrix_rank({}, 0, ceiling=0) == 0
+
+
+def test_zero_entries_never_pair():
+    fld = CycloField(3)
+    one, zero = fld.one, fld.zero
+    assert matrix_rank({(0, 0): zero, (1, 1): one}, 2, ceiling=2) == 1
+    assert matrix_rank({(0, 0): zero}, 1, ceiling=1) == 0
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(entries, nrows) over Q(zeta_n), n = 2..6, keys in a drawn order.
+
+    Entries include explicit zeros.  Half the matrices are the product of
+    an nrows x inner and an inner x ncols matrix, every cell stored (zero
+    or not), so their rank is often below their shape.
+    """
+    fld = CycloField(draw(st.integers(min_value=2, max_value=6)))
+    values = st.one_of(
+        st.sampled_from((fld.zero, fld.one, -fld.one)),
+        st.integers(min_value=0, max_value=fld.n - 1).map(fld.root),
+        st.lists(
+            st.integers(min_value=-2, max_value=2),
+            min_size=fld.degree, max_size=fld.degree,
+        ).map(fld.element),
+    )
+    nrows = draw(st.integers(min_value=0, max_value=5))
+    ncols = draw(st.integers(min_value=0, max_value=5))
+    cells = draw(st.permutations([(r, c) for r in range(nrows) for c in range(ncols)]))
+    if draw(st.booleans()):
+        inner = draw(st.integers(min_value=1, max_value=3))
+        left = [[draw(values) for _ in range(inner)] for _ in range(nrows)]
+        right = [[draw(values) for _ in range(ncols)] for _ in range(inner)]
+        entries = {}
+        for r, c in cells:
+            total = fld.zero
+            for i in range(inner):
+                total = total + left[r][i] * right[i][c]
+            entries[r, c] = total
+        return entries, nrows
+    kept = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    return {cell: draw(values) for cell, keep in zip(cells, kept) if keep}, nrows
+
+
+@settings(max_examples=200)
+@given(sparse_matrices())
+def test_any_true_ceiling_gives_the_eliminated_rank(matrix):
+    entries, nrows = matrix
+    rank = matrix_rank(entries, nrows)
+    columns = len({c for _, c in entries})
+    for ceiling in range(rank, max(nrows, columns) + 2):
+        assert matrix_rank(entries, nrows, ceiling=ceiling) == rank, ceiling
+
+
+TORUS_2_7 = (
+    "X[1,8,2,9] X[3,10,4,11] X[5,12,6,13] X[7,14,8,1] "
+    "X[9,2,10,3] X[11,4,12,5] X[13,6,14,7]"
+)
+
+
+def _ranked_without_elimination(d, n, rescale_seed=None):
+    cx = build_complex(d, n)
+    if rescale_seed is not None:
+        cx = rescale_basis(cx, seed=rescale_seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_eliminate", _no_elimination)
+        assert compute_homology(cx).dims == closed_form(d, n).dims
+
+
+@pytest.mark.parametrize("name", fixture_names())
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_fixture_block_is_ranked_by_its_matching(name, n):
+    _ranked_without_elimination(fixture(name), n)
+
+
+def test_torus_2_7_blocks_are_ranked_by_their_matchings():
+    _ranked_without_elimination(parse_pd(TORUS_2_7), 4)
+
+
+@pytest.mark.parametrize("code", [TORUS_2_3, TORUS_2_5], ids=["T(2,3)", "T(2,5)"])
+def test_rescaled_blocks_are_ranked_by_their_matchings(code):
+    _ranked_without_elimination(parse_pd(code), 5, rescale_seed=5)
+
+
+@settings(max_examples=15)
+@given(braid_diagrams(), st.sampled_from((2, 3)))
+def test_generated_blocks_are_ranked_by_their_matchings(d, n):
+    _ranked_without_elimination(d, n)
 
 
 def test_closed_form_unknot():
