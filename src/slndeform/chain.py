@@ -15,8 +15,9 @@ basis; ``rescale_basis`` exists precisely to exercise that claim.  The
 deformation scale beta could change only these nonzero scalars, so the
 complex does not take it; the lemma and the projectors read it.  Standard
 alternating cube signs (parity of the 1-bits before the flipped crossing)
-make the squares anticommute, and ``check_d_squared`` verifies d o d = 0 by
-exact arithmetic.
+make the squares anticommute, and ``check_d_squared`` verifies d o d = 0
+exactly: over integer signs on each block whose entries are all +1 or -1,
+over Q(zeta_n) on any other (a rescaled block).
 
 The differential keeps every arc's label, so the complex splits into one
 block per arc coloring, stored as ``DeformedComplex.blocks``: the cube over
@@ -182,20 +183,24 @@ class DeformedComplex:
     def check_d_squared(self):
         """First nonzero entry of d o d, or None if the complex is honest.
 
-        d o d is composed one arc-coloring block at a time.  An entry whose
-        source or target lies outside its block (or in none) raises
+        d o d is composed one arc-coloring block at a time: over integer
+        signs when every entry of the block is +1 or -1 (as ``build_complex``
+        stores them), over Q(zeta_n) otherwise (a rescaled block).  An entry
+        whose source or target lies outside its block (or in none) raises
         InternalCheckError.  A failure names the square with the smallest
         (degree, target, source): (degree, source basis element, target
-        basis element, value).
+        basis element, value), the value a CycloNumber on either path.
         """
         failures = {}
-        for b, per_degree in self.blocks.items():
+        for b, stored in self.blocks.items():
+            signs = _block_signs(stored, self.field)
+            per_degree = stored if signs is None else signs
             for k, first in per_degree.items():
                 sources, targets = self.block_of[k], self.block_of[k + 1]
-                by_source: dict[int, list[tuple[int, CycloNumber]]] = {}
+                by_source: dict[int, list[tuple[int, int | CycloNumber]]] = {}
                 for (t, s), v in per_degree.get(k + 1, {}).items():
                     by_source.setdefault(s, []).append((t, v))
-                composite: dict[tuple[int, int], CycloNumber] = {}
+                composite: dict[tuple[int, int], int | CycloNumber] = {}
                 for (mid, src), v1 in first.items():
                     if sources[src] != b or targets[mid] != b:
                         raise InternalCheckError(
@@ -205,13 +210,14 @@ class DeformedComplex:
                     for tgt, v2 in by_source.get(mid, ()):
                         cur = composite.get((tgt, src))
                         composite[tgt, src] = v2 * v1 if cur is None else cur + v2 * v1
-                failures.update(
-                    ((k, t, s), v) for (t, s), v in composite.items() if not v.is_zero
-                )
+                failures.update(((k, t, s), v) for (t, s), v in composite.items() if v)
         if not failures:
             return None
         k, tgt, src = min(failures)
-        return k, self.basis[k][src], self.basis[k + 2][tgt], failures[k, tgt, src]
+        value = failures[k, tgt, src]
+        if isinstance(value, int):
+            value = self.field.one * value
+        return k, self.basis[k][src], self.basis[k + 2][tgt], value
 
     def matrices_json(self) -> dict:
         merged = self.differentials
@@ -219,6 +225,28 @@ class DeformedComplex:
             str(k): [[t, s, str(v)] for (t, s), v in sorted(merged.get(k, {}).items())]
             for k in self.degrees
         }
+
+
+def _block_signs(per_degree: dict, field: CycloField) -> dict | None:
+    """The block's entries as {k: {(target, source): +1 or -1}}, or None.
+
+    None as soon as an entry is neither +1 nor -1.  Storage is compared
+    directly: the canonical form makes equal values store equally.
+    """
+    one, minus_one = field.one.num, (-field.one).num
+    signs = {}
+    for k, entries in per_degree.items():
+        out = signs[k] = {}
+        for key, v in entries.items():
+            if v.den != 1:
+                return None
+            if v.num == one:
+                out[key] = 1
+            elif v.num == minus_one:
+                out[key] = -1
+            else:
+                return None
+    return signs
 
 
 def build_complex(

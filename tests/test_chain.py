@@ -1,9 +1,11 @@
 """Differential assembly: local types, matched pairs, d^2 = 0, rescaling."""
 
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_homology import TORUS_2_7
 from test_states import braid_diagrams
 
 from slndeform import chain
@@ -16,6 +18,7 @@ from slndeform.chain import (
     rescale_basis,
     rescale_with,
 )
+from slndeform.cyclotomic import CycloNumber
 from slndeform.diagram import parse_pd
 from slndeform.errors import InternalCheckError, SizeBoundError
 from slndeform.fixtures import fixture, fixture_names
@@ -332,6 +335,95 @@ def test_d_squared_failure_is_the_smallest_square_over_all_blocks():
     assert cx.check_d_squared() == (
         k, cx.basis[k][src], cx.basis[k + 2][tgt], failures[k, tgt, src]
     )
+
+
+def _first_failure(cx):
+    """``check_d_squared``'s answer read off ``_whole_degree_failures``."""
+    failures = _whole_degree_failures(cx)
+    if not failures:
+        return None
+    k, tgt, src = min(failures)
+    return k, cx.basis[k][src], cx.basis[k + 2][tgt], failures[k, tgt, src]
+
+
+def _assert_reports_first_failure(cx):
+    failure = cx.check_d_squared()
+    expected = _first_failure(cx)
+    assert failure == expected
+    if expected is not None:
+        # an int residue would compare equal to its CycloNumber, so pin the type
+        assert isinstance(failure[3], CycloNumber)
+        assert str(failure[3]) == str(expected[3])
+    return failure
+
+
+def _scale_smallest_entry(cx, b, k, factor):
+    entries = cx.blocks[b][k]
+    key = min(entries)
+    entries[key] = entries[key] * factor
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_unrescaled_d_squared_needs_no_field_arithmetic(n, monkeypatch):
+    complexes = [build_complex(fixture(name), n) for name in fixture_names()]
+    if n == 4:
+        complexes.append(build_complex(parse_pd(TORUS_2_7), n))
+
+    def no_field_arithmetic(self, other):
+        raise AssertionError("d o d of a block of signs used Q(zeta_n) arithmetic")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(CycloNumber, name, no_field_arithmetic)
+    for cx in complexes:
+        assert cx.check_d_squared() is None
+
+
+def _blocks_with_squares(cx):
+    """Blocks with two or more degrees, ordered by their lowest degree."""
+    return sorted((b for b, per in cx.blocks.items() if len(per) > 1),
+                  key=lambda b: (min(cx.blocks[b]), b))
+
+
+@pytest.mark.parametrize("scale", ["zeta", "1/2"])
+@pytest.mark.parametrize("scaled_first", [True, False])
+def test_sign_and_field_blocks_report_through_one_minimum(scaled_first, scale):
+    # one block leaves the sign path (an entry times zeta, or times 1/2, whose
+    # numerators are those of +-1), another keeps it with a flipped sign; the
+    # smallest square of the two must be reported
+    cx = build_complex(fixture("figure_eight"), 3)
+    factor = cx.field.root(1) if scale == "zeta" else cx.field.from_rational(Fraction(1, 2))
+    low, *rest = _blocks_with_squares(cx)
+    high = next(b for b in rest if min(cx.blocks[b]) > min(cx.blocks[low]))
+    scaled, flipped = (low, high) if scaled_first else (high, low)
+    _scale_smallest_entry(cx, scaled, min(cx.blocks[scaled]), factor)
+    _scale_smallest_entry(cx, flipped, min(cx.blocks[flipped]), -1)
+    k, src, _, residue = _assert_reports_first_failure(cx)
+    assert cx.block_of[k][cx.basis[k].index(src)] == low
+    # a square through the scaled entry leaves (factor -+ 1); a flipped sign -+2
+    assert (residue in (2, -2)) != scaled_first
+
+
+def test_negated_entry_of_a_rescaled_complex_is_caught():
+    cx = rescale_basis(build_complex(fixture("figure_eight"), 3), seed=3)
+    assert cx.check_d_squared() is None
+    b = _blocks_with_squares(cx)[-1]
+    _scale_smallest_entry(cx, b, max(cx.blocks[b]), -1)
+    assert _assert_reports_first_failure(cx) is not None
+
+
+@settings(max_examples=30)
+@given(braid_diagrams(), st.sampled_from((2, 3)), st.integers(min_value=0))
+def test_negated_entry_is_the_first_failure_on_generated_diagrams(d, n, pick):
+    cx = build_complex(d, n)
+    entries = sorted(
+        (b, k, key) for b, per in cx.blocks.items() for k, es in per.items() for key in es
+    )
+    if entries:
+        b, k, key = entries[pick % len(entries)]
+        cx.blocks[b][k][key] = -cx.blocks[b][k][key]
+        assert (_assert_reports_first_failure(cx) is None) == (len(cx.blocks[b]) == 1)
+    else:
+        assert cx.check_d_squared() is None
 
 
 def test_basis_ordering_contract():

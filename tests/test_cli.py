@@ -8,6 +8,7 @@ import pytest
 
 from slndeform import cli, homology
 from slndeform.cli import main
+from slndeform.cyclotomic import CycloNumber
 
 HOMOLOGY_SCHEMA = {
     "type": "object",
@@ -360,3 +361,21 @@ def test_output_is_deterministic(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_verify_ranks_rescaled_blocks_by_elimination(capsys, monkeypatch):
+    # an elimination that multiplies by each pivot instead of its inverse
+    # leaves the unrescaled ±1 blocks alone, so only the rescaling check,
+    # which ranks the rescaled blocks by elimination, can see it
+    eliminate = homology._eliminate
+
+    def without_inverse(entries, nrows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CycloNumber, "inv", lambda self: self)
+            return eliminate(entries, nrows)
+
+    monkeypatch.setattr(homology, "_eliminate", without_inverse)
+    code, out, _ = _run(capsys, "verify", "--n", "3")
+    assert code == 1
+    assert "FAIL  complex integrity:" in out and "under rescaling seed" in out
+    assert "PASS  three-way homology:" in out
