@@ -1,8 +1,9 @@
 """Exact computation of the deformed sl(n) link homology of planar diagrams.
 
 The pipeline: parse a diagram, build the cube of resolutions, enumerate
-admissible roots-of-unity states, assemble the chain complex over
-Q(zeta_n), and compute its homology by exact linear algebra -- then check
+admissible roots-of-unity states, assemble the chain complex (integral,
+rescalable over Q(zeta_n)), and compute its homology by exact linear
+algebra -- then check
 the answer against the closed form (n^l generators in degrees read off
 linking numbers) and against the no-linear-algebra survivor construction.
 """

@@ -11,13 +11,15 @@ type 2 states have no partner and map to zero.
 Each component's scalar is +1 before signs.  On every summand with fixed
 labels the cube has one-dimensional vertex spaces and commuting squares, so
 any choice of nonzero scalars is related to this one by a diagonal change of
-basis; ``rescale_basis`` exists precisely to exercise that claim.  The
-deformation scale beta could change only these nonzero scalars, so the
-complex does not take it; the lemma and the projectors read it.  Standard
-alternating cube signs (parity of the 1-bits before the flipped crossing)
-make the squares anticommute, and ``check_d_squared`` verifies d o d = 0
-exactly: over integer signs on each block whose entries are all +1 or -1,
-over Q(zeta_n) on any other (a rescaled block).
+basis: the complex is integral, and Q(zeta_n) enters only through such a
+rescaling.  ``build_complex`` therefore stores every entry as the Python
+int 1 or -1, the standard alternating cube sign (parity of the 1-bits
+before the flipped crossing), which makes the squares anticommute;
+``rescale_basis`` exists precisely to exercise the claim, and its entries
+are ``CycloNumber``s.  The deformation scale beta could change only these
+nonzero scalars, so the complex does not take it; the lemma and the
+projectors read it.  ``check_d_squared`` verifies d o d = 0 exactly with
+the entries as stored, ints or field elements alike.
 
 The differential keeps every arc's label, so the complex splits into one
 block per arc coloring, stored as ``DeformedComplex.blocks``: the cube over
@@ -144,16 +146,17 @@ class ChainBasisElement:
 
 @dataclass
 class DeformedComplex:
-    """Basis lists per degree plus the sparse differential over Q(zeta_n).
+    """Basis lists per degree plus the sparse integral differential.
 
     ``blocks`` holds the nonzero entries, as block id -> degree k ->
     {(target, source): value}, indexed like the whole bases of degrees k+1
-    and k; no block holds an empty degree.  ``build_complex`` files each
-    block's entries crossing-major (free crossings outer, members inner), so
-    the entries across the block's first free crossing come first; the
-    matching in ``homology.matrix_rank`` relies on that order.  ``block_of``
-    gives each basis element its arc-coloring block id, or None if no entry
-    touches it.
+    and k; no block holds an empty degree.  A value is the int 1 or -1 as
+    ``build_complex`` stores it, and a ``CycloNumber`` after rescaling.
+    ``build_complex`` files each block's entries crossing-major (free
+    crossings outer, members inner), so the entries across the block's first
+    free crossing come first; the matching in ``homology.matrix_rank``
+    relies on that order.  ``block_of`` gives each basis element its
+    arc-coloring block id, or None if no entry touches it.
     """
 
     diagram: LinkDiagram
@@ -162,11 +165,11 @@ class DeformedComplex:
     resolutions: dict[tuple[int, ...], Resolution]
     degrees: tuple[int, ...]
     basis: dict[int, tuple[ChainBasisElement, ...]]
-    blocks: dict[int, dict[int, dict[tuple[int, int], CycloNumber]]]
+    blocks: dict[int, dict[int, dict[tuple[int, int], int | CycloNumber]]]
     block_of: dict[int, tuple]
 
     @property
-    def differentials(self) -> dict[int, dict[tuple[int, int], CycloNumber]]:
+    def differentials(self) -> dict[int, dict[tuple[int, int], int | CycloNumber]]:
         """The blocks merged per degree; built anew on each access, never stored."""
         out: dict[int, dict] = {}
         for per_degree in self.blocks.values():
@@ -183,18 +186,16 @@ class DeformedComplex:
     def check_d_squared(self):
         """First nonzero entry of d o d, or None if the complex is honest.
 
-        d o d is composed one arc-coloring block at a time: over integer
-        signs when every entry of the block is +1 or -1 (as ``build_complex``
-        stores them), over Q(zeta_n) otherwise (a rescaled block).  An entry
-        whose source or target lies outside its block (or in none) raises
-        InternalCheckError.  A failure names the square with the smallest
-        (degree, target, source): (degree, source basis element, target
-        basis element, value), the value a CycloNumber on either path.
+        d o d is composed one arc-coloring block at a time with the entries
+        as stored: ints as ``build_complex`` leaves them, ``CycloNumber``s
+        after rescaling, or a mix.  An entry whose source or target lies
+        outside its block (or in none) raises InternalCheckError.  A failure
+        names the square with the smallest (degree, target, source):
+        (degree, source basis element, target basis element, value), the
+        value a CycloNumber.
         """
         failures = {}
-        for b, stored in self.blocks.items():
-            signs = _block_signs(stored, self.field)
-            per_degree = stored if signs is None else signs
+        for b, per_degree in self.blocks.items():
             for k, first in per_degree.items():
                 sources, targets = self.block_of[k], self.block_of[k + 1]
                 by_source: dict[int, list[tuple[int, int | CycloNumber]]] = {}
@@ -214,9 +215,7 @@ class DeformedComplex:
         if not failures:
             return None
         k, tgt, src = min(failures)
-        value = failures[k, tgt, src]
-        if isinstance(value, int):
-            value = self.field.one * value
+        value = self.field.one * failures[k, tgt, src]
         return k, self.basis[k][src], self.basis[k + 2][tgt], value
 
     def matrices_json(self) -> dict:
@@ -227,28 +226,6 @@ class DeformedComplex:
         }
 
 
-def _block_signs(per_degree: dict, field: CycloField) -> dict | None:
-    """The block's entries as {k: {(target, source): +1 or -1}}, or None.
-
-    None as soon as an entry is neither +1 nor -1.  Storage is compared
-    directly: the canonical form makes equal values store equally.
-    """
-    one, minus_one = field.one.num, (-field.one).num
-    signs = {}
-    for k, entries in per_degree.items():
-        out = signs[k] = {}
-        for key, v in entries.items():
-            if v.den != 1:
-                return None
-            if v.num == one:
-                out[key] = 1
-            elif v.num == minus_one:
-                out[key] = -1
-            else:
-                return None
-    return signs
-
-
 def build_complex(
     d: LinkDiagram, n: int, *, max_crossings: int = DEFAULT_MAX_CROSSINGS
 ) -> DeformedComplex:
@@ -257,14 +234,13 @@ def build_complex(
     A crossing is free for a state with l1 = l3 != l2 at slots 1..3 (type 3
     at bit 0, type 1 at bit 1).  The states with free crossings form one cube
     per arc coloring, which becomes the next block: one entry per member and
-    free crossing at which the member is the source, filed crossing-major
-    (see ``DeformedComplex``).  A cube with fewer than
+    free crossing at which the member is the source, the int cube sign,
+    filed crossing-major (see ``DeformedComplex``).  A cube with fewer than
     2^|free| members raises InternalCheckError.
     """
     k = len(d.crossings)
     if k > max_crossings:
         raise SizeBoundError(f"{k} crossings exceed the bound {max_crossings}")
-    field = CycloField(n)
 
     vertices = list(product((0, 1), repeat=k))
     resolutions = {v: resolve(d, v) for v in vertices}
@@ -289,8 +265,8 @@ def build_complex(
             column.append(ChainBasisElement(vertex=v, state=s, degree=kv))
 
     block_of = {k_: [None] * len(b) for k_, b in basis.items()}
-    blocks: dict[int, dict[int, dict[tuple[int, int], CycloNumber]]] = {}
-    signs = (field.one, -field.one)  # by the parity of 1-bits before the crossing
+    blocks: dict[int, dict[int, dict[tuple[int, int], int]]] = {}
+    signs = (1, -1)  # by the parity of 1-bits before the crossing
     source_bit = [0 if c.sign > 0 else 1 for c in d.crossings]
     for b, (coloring, (free, members)) in enumerate(cubes.items()):
         per_degree = blocks[b] = {}
@@ -317,7 +293,7 @@ def build_complex(
     return DeformedComplex(
         diagram=d,
         n=n,
-        field=field,
+        field=CycloField(n),
         resolutions=resolutions,
         degrees=tuple(sorted(basis)),
         basis={k_: tuple(b) for k_, b in basis.items()},
@@ -344,9 +320,8 @@ def rescale_basis(cx: DeformedComplex, seed: int) -> DeformedComplex:
 def rescale_with(cx: DeformedComplex, scalars: dict[int, list]) -> DeformedComplex:
     """Explicit diagonal change of basis; each block rescales into itself."""
     for k in cx.degrees:
-        if len(scalars[k]) != len(cx.basis[k]) or any(
-            v.is_zero for v in scalars[k]
-        ):
+        col = scalars.get(k, ())
+        if len(col) != len(cx.basis[k]) or any(v.is_zero for v in col):
             raise ValueError("rescaling needs one nonzero scalar per basis element")
 
     def rescaled(k, entries):

@@ -1,7 +1,8 @@
 """Homology of the deformed complex, three ways, and their reconciliation.
 
-* ``compute_homology``: exact kernel/image ranks of the differentials over
-  Q(zeta_n).  The complex stores its differential as arc-coloring blocks
+* ``compute_homology``: exact kernel/image ranks of the differentials, whose
+  entries are the ints +-1 or, after rescaling, elements of Q(zeta_n).
+  The complex stores its differential as arc-coloring blocks
   (``DeformedComplex.blocks``).  Each block is a cube of isomorphisms over
   its free crossings, hence acyclic, and its entries are filed
   crossing-major, so a greedy matching in entry order pairs the cube along
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product
 
 from .chain import (
@@ -56,12 +58,13 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Exact rank of a sparse matrix over Q(zeta_n)
+# Exact rank of a sparse matrix over Q or Q(zeta_n)
 # ----------------------------------------------------------------------
 
 def matrix_rank(entries: dict, nrows: int, *, ceiling: int | None = None) -> int:
     """Rank of the matrix {(row, column): value} with rows 0..nrows-1.
 
+    A value is any exact scalar: an int, a Fraction or a ``CycloNumber``.
     Without ``ceiling`` the rank comes from exact elimination.  A caller
     that has proven the rank is at most ``ceiling`` lets the rank be read
     off a triangular matching instead (``_triangular_pairs``): when it has
@@ -82,7 +85,7 @@ def _triangular_pairs(entries: dict) -> int | None:
     matched column, the matched submatrix is triangular with a nonzero
     diagonal, so the rank is at least the number of pairs.
     """
-    nonzero = [key for key, v in entries.items() if not v.is_zero]
+    nonzero = [key for key, v in entries.items() if v]
     row_of: dict = {}  # matched column -> its row
     column_of: dict = {}  # matched row -> its column
     for r, c in nonzero:
@@ -108,10 +111,16 @@ def _triangular_pairs(entries: dict) -> int | None:
 
 
 def _eliminate(entries: dict, nrows: int) -> int:
-    """Rank by exact elimination; pivots favor the sparsest remaining row."""
+    """Rank by exact elimination; pivots favor the sparsest remaining row.
+
+    Entries may be ints, Fractions or ``CycloNumber``s: each pivot is
+    inverted as ``Fraction(1) / pivot``, which stays exact for all three
+    (for a ``CycloNumber`` it calls ``CycloNumber.inv``), and zero is read
+    by truthiness.
+    """
     rows: list[dict] = [dict() for _ in range(nrows)]
     for (r, c), v in entries.items():
-        if not v.is_zero:
+        if v:
             rows[r][c] = v
     active = {i for i in range(nrows) if rows[i]}
     rank = 0
@@ -119,7 +128,7 @@ def _eliminate(entries: dict, nrows: int) -> int:
         pick = min(active, key=lambda i: (len(rows[i]), i))
         row = rows[pick]
         pivot_col = min(row)
-        inv = row[pivot_col].inv()
+        inv = Fraction(1) / row[pivot_col]
         rank += 1
         active.discard(pick)
         for i in sorted(active):
@@ -131,10 +140,10 @@ def _eliminate(entries: dict, nrows: int) -> int:
             for col, val in row.items():
                 cur = other.get(col)
                 new = -(factor * val) if cur is None else cur - factor * val
-                if new.is_zero:
-                    other.pop(col, None)
-                else:
+                if new:
                     other[col] = new
+                else:
+                    other.pop(col, None)
             if not other:
                 active.discard(i)
     return rank

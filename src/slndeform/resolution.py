@@ -47,11 +47,10 @@ class Resolution:
     thin_edges: tuple[int, ...]
     thick_edges: tuple[ThickEdge, ...]
     circles: tuple[int, ...]
-    arc_to_thin: dict[int, int]
     slot: dict[int, int]  # arc or loop id -> index of its label in a state
 
     def thin_of(self, arc: int) -> int:
-        return self.arc_to_thin[arc]
+        return self.thin_edges[self.slot[arc]]
 
     def local_values(self, state, c: Crossing) -> tuple:
         """Labels at slots 1..4 of crossing c (valid for either bit)."""
@@ -163,7 +162,6 @@ def resolve(d: LinkDiagram, choice) -> Resolution:
         thin_edges=thin_edges,
         thick_edges=tuple(thick_edges),
         circles=tuple(circles),
-        arc_to_thin=arc_to_thin,
         slot={a: index[t] for a, t in arc_to_thin.items()},
     )
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_homology import TORUS_2_7
+from test_homology import TORUS_2_7, eliminated_dims
 from test_states import braid_diagrams
 
 from slndeform import chain
@@ -276,7 +276,7 @@ def test_rescaling_preserves_d_squared_and_homology():
         for seed in (0, 1, 17):
             rescaled = rescale_basis(cx, seed)
             assert rescaled.check_d_squared() is None
-            assert compute_homology(rescaled).dims == base
+            assert eliminated_dims(rescaled) == base
 
 
 def test_rescaling_rejects_zero_scalars():
@@ -285,6 +285,10 @@ def test_rescaling_rejects_zero_scalars():
            for k in cx.degrees}
     with pytest.raises(ValueError):
         rescale_with(cx, bad)
+    # a degree of the complex with no scalars at all
+    missing = {k: [cx.field.one] * len(cx.basis[k]) for k in cx.degrees[1:]}
+    with pytest.raises(ValueError, match="one nonzero scalar per basis element"):
+        rescale_with(cx, missing)
 
 
 def test_injected_sign_flip_is_detected_and_named():
@@ -387,9 +391,9 @@ def _blocks_with_squares(cx):
 @pytest.mark.parametrize("scale", ["zeta", "1/2"])
 @pytest.mark.parametrize("scaled_first", [True, False])
 def test_sign_and_field_blocks_report_through_one_minimum(scaled_first, scale):
-    # one block leaves the sign path (an entry times zeta, or times 1/2, whose
-    # numerators are those of +-1), another keeps it with a flipped sign; the
-    # smallest square of the two must be reported
+    # one block mixes a field entry into its ints (an entry times zeta, or
+    # times 1/2), another keeps its ints with a flipped sign; the smallest
+    # square of the two must be reported
     cx = build_complex(fixture("figure_eight"), 3)
     factor = cx.field.root(1) if scale == "zeta" else cx.field.from_rational(Fraction(1, 2))
     low, *rest = _blocks_with_squares(cx)

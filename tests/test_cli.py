@@ -99,6 +99,42 @@ VERIFY_SCHEMA = {
 }
 
 
+# `complex hopf_neg --n 3 --matrices`: the cube signs print as the ints +-1
+HOPF_NEG_N3_MATRICES = """\
+diagram: hopf_neg
+chain dimensions: {-2: 12, -1: 12, 0: 9}
+euler characteristic: 9
+d^2 = 0: yes
+d_-2: 12 entries
+  target 0 <- source 2: 1
+  target 1 <- source 3: 1
+  target 2 <- source 4: 1
+  target 3 <- source 7: 1
+  target 4 <- source 8: 1
+  target 5 <- source 9: 1
+  target 6 <- source 2: -1
+  target 7 <- source 3: -1
+  target 8 <- source 4: -1
+  target 9 <- source 7: -1
+  target 10 <- source 8: -1
+  target 11 <- source 9: -1
+d_-1: 12 entries
+  target 1 <- source 0: 1
+  target 1 <- source 6: 1
+  target 2 <- source 1: 1
+  target 2 <- source 7: 1
+  target 3 <- source 2: 1
+  target 3 <- source 8: 1
+  target 5 <- source 3: 1
+  target 5 <- source 9: 1
+  target 6 <- source 4: 1
+  target 6 <- source 10: 1
+  target 7 <- source 5: 1
+  target 7 <- source 11: 1
+d_0: 0 entries
+"""
+
+
 def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -361,6 +397,9 @@ def test_output_is_deterministic(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+    code, out, _ = _run(capsys, "complex", "hopf_neg", "--n", "3", "--matrices")
+    assert code == 0
+    assert out == HOPF_NEG_N3_MATRICES
 
 
 def test_verify_ranks_rescaled_blocks_by_elimination(capsys, monkeypatch):

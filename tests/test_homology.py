@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from slndeform.chain import build_complex, rescale_basis
 from slndeform import homology
 from slndeform.cyclotomic import CycloField
-from slndeform.diagram import parse, parse_pd
+from slndeform.diagram import parse, parse_pd, parse_signed, render_signed
 from slndeform.errors import InternalCheckError
 from slndeform.fixtures import FIXTURES, fixture, fixture_names
 from slndeform.homology import (
@@ -44,6 +44,8 @@ def test_matrix_rank_small_cases():
     }
     assert matrix_rank(entries, 3) == 2
     assert matrix_rank({(0, 0): zero}, 1) == 0
+    # int entries are eliminated exactly: in floats 7 - 7 * (1/3) * 3 is not 0
+    assert matrix_rank({(0, 0): 3, (0, 1): 3, (1, 0): 7, (1, 1): 7}, 2) == 1
 
 
 # ----------------------------------------------------------------------
@@ -155,6 +157,24 @@ def test_rescaled_blocks_are_ranked_by_their_matchings(code):
 @given(braid_diagrams(), st.sampled_from((2, 3)))
 def test_generated_blocks_are_ranked_by_their_matchings(d, n):
     _ranked_without_elimination(d, n)
+
+
+def _negated(dims):
+    return {-k: v for k, v in dims.items()}
+
+
+@settings(max_examples=30, derandomize=True)
+@given(braid_diagrams(), st.sampled_from((3, 4)))
+def test_mirroring_negates_every_degree(d, n):
+    # the mirror keeps every arc and flips every crossing sign, so the cube
+    # and its states are the same and each vertex degree changes sign
+    mirror = parse_signed(render_signed(d).translate(str.maketrans("+-", "-+")))
+    assert [c.sign for c in mirror.crossings] == [-c.sign for c in d.crossings]
+    original, mirrored = cross_validate(d, n), cross_validate(mirror, n)
+    assert original.passed, original.messages
+    assert mirrored.passed, mirrored.messages
+    assert mirrored.computed.dims == _negated(original.computed.dims)
+    assert build_complex(mirror, n).dims() == _negated(build_complex(d, n).dims())
 
 
 def test_closed_form_unknot():
@@ -316,6 +336,23 @@ def test_homology_result_json():
 # Ranking by arc-coloring blocks
 # ----------------------------------------------------------------------
 
+def eliminated_dims(cx):
+    """Homology dims, every block's degrees ranked by elimination.
+
+    ``compute_homology`` ranks by the matching, which reads only which
+    entries are nonzero; elimination reads their values, so only it can
+    tell whether a rescaled complex keeps the homology.
+    """
+    ranks = Counter()
+    for per_degree in cx.blocks.values():
+        for k, entries in per_degree.items():
+            rows = {t: i for i, t in enumerate(sorted({t for t, _ in entries}))}
+            ranks[k] += matrix_rank({(rows[t], s): v for (t, s), v in entries.items()},
+                                    len(rows))
+    dims = {k: len(cx.basis[k]) - ranks[k] - ranks[k - 1] for k in cx.degrees}
+    return {k: dim for k, dim in dims.items() if dim}
+
+
 def _assert_block_ranks_match(cx):
     block_sums = Counter()
     for per_degree in cx.blocks.values():
@@ -394,7 +431,9 @@ def test_block_of_is_the_arc_coloring_partition(code, n):
     touched = {k: set() for k in cx.degrees}
     for k, entries in cx.differentials.items():
         for (t, s), v in entries.items():
-            if not v.is_zero:
+            # the complex is integral: assembly stores the cube signs as ints
+            assert type(v) is int and v in (1, -1), (k, t, s, v)
+            if v:
                 touched[k].add(s)
                 touched[k + 1].add(t)
     block_of_coloring = {}
