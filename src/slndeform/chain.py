@@ -35,6 +35,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .cyclotomic import CycloField, CycloNumber
 from .diagram import Crossing, LinkDiagram
@@ -137,8 +138,14 @@ def matched_pairs(r0: Resolution, r1: Resolution, crossing: int, n: int):
     return pairs
 
 
-@dataclass(frozen=True)
-class ChainBasisElement:
+class ChainBasisElement(NamedTuple):
+    """One basis element: a cube vertex, an admissible state there, its degree.
+
+    A named tuple, so it is immutable, hashes and compares as the plain
+    tuple (vertex, state, degree), and unpacks in a loop at C speed; its
+    ``repr`` names the fields, as in a ``check_d_squared`` failure.
+    """
+
     vertex: tuple[int, ...]
     state: tuple
     degree: int
@@ -262,7 +269,7 @@ def build_complex(
                     raise InternalCheckError(
                         f"two states at {v} carry the arc coloring of {s}"
                     )
-            column.append(ChainBasisElement(vertex=v, state=s, degree=kv))
+            column.append(ChainBasisElement(v, s, kv))
 
     block_of = {k_: [None] * len(b) for k_, b in basis.items()}
     blocks: dict[int, dict[int, dict[tuple[int, int], int]]] = {}

@@ -162,6 +162,9 @@ class CycloField:
         return self._xpow[k]
 
     def from_rational(self, value) -> "CycloNumber":
+        """``value`` as a field element; an int is already canonical over 1."""
+        if type(value) is int:
+            return CycloNumber(self, (value,) + self._zero_num[1:], 1)
         q = Fraction(value)
         return CycloNumber(self, (q.numerator,) + self._zero_num[1:], q.denominator)
 

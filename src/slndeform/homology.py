@@ -14,17 +14,25 @@
   ``cross_validate`` and by ``slndeform verify``).  The generators are the
   one-element blocks: the basis elements that no nonzero entry of any
   differential touches, marked None in ``block_of``.
+  Each generator's coloring is read through its vertex's slot layout
+  (``_psi_layout``, built once per vertex), which also checks that the
+  state is constant on every component.
 * ``closed_form``: the combinatorial answer -- one generator per coloring
   of the components by roots of unity, in degree given by the linking
   numbers of the preimage sublinks, n^l generators in total.
 * ``survivors_combinatorial``: for each coloring, resolve every crossing by
   0 when its two strands carry equal colors and by 1 otherwise, and read
-  the degree off that single resolution; no linear algebra at all.
+  the degree off that single resolution; no linear algebra at all.  Each
+  crossing's pair of strand components and each arc's component are looked
+  up once per diagram, and each distinct resolution and its degree once
+  per choice; the per-coloring loop indexes ``psi`` through them and
+  still checks each induced state.
 
 ``cross_validate`` runs all three and insists on identical degree->dimension
 tables and generator lists plus Euler-characteristic agreement with the
-chain level.  None of
-the three reads the deformation scale beta (see ``chain``).
+chain level.  A generator is a ``GeneratorDescriptor``, a named tuple
+(degree, psi): the lists of n^l of them sort and compare as plain tuples.
+None of the three reads the deformation scale beta (see ``chain``).
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .chain import (
     DEFAULT_MAX_CROSSINGS,
@@ -153,9 +162,12 @@ def _eliminate(entries: dict, nrows: int) -> int:
 # Results
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class GeneratorDescriptor:
-    """A homology generator: a coloring of the components and its degree."""
+class GeneratorDescriptor(NamedTuple):
+    """A homology generator: a coloring of the components and its degree.
+
+    A named tuple, so generators sort by (degree, psi) and lists of them
+    compare as plain tuples.
+    """
 
     degree: int
     psi: tuple[int, ...]  # component index -> root label
@@ -183,13 +195,8 @@ class HomologyResult:
         }
 
 
-def _by_degree_psi(g: GeneratorDescriptor) -> tuple:
-    """The dataclass order, without building two tuples per comparison."""
-    return g.degree, g.psi
-
-
 def _result(pairs) -> HomologyResult:
-    gens = tuple(sorted(pairs, key=_by_degree_psi))
+    gens = tuple(sorted(pairs))
     dims = Counter(g.degree for g in gens)
     return HomologyResult(dims=dict(sorted(dims.items())), generators=gens)
 
@@ -206,7 +213,7 @@ def closed_form(d: LinkDiagram, n: int) -> HomologyResult:
     linked = [(i, j) for i in range(l) for j in range(i + 1, l) if lk[i][j]]
     gens = [
         GeneratorDescriptor(
-            degree=sum(2 * lk[i][j] for i, j in linked if psi[i] != psi[j]), psi=psi
+            sum(2 * lk[i][j] for i, j in linked if psi[i] != psi[j]), psi
         )
         for psi in product(range(n), repeat=l)
     ]
@@ -217,20 +224,32 @@ def closed_form(d: LinkDiagram, n: int) -> HomologyResult:
 # Linear algebra on the complex
 # ----------------------------------------------------------------------
 
-def _survivor_psi(r: Resolution, state) -> tuple[int, ...]:
-    """Convert a survivor state (constant per component) to a coloring."""
+def _psi_layout(r: Resolution) -> tuple[list[int], list[tuple]]:
+    """Where a survivor state of ``r`` keeps its coloring of the components.
+
+    Returns one state slot per component, in component order (free loops
+    last), and the (slot, other slot, component) ties that a state must
+    satisfy to be constant on each component.  Built once per vertex.
+    """
     d = r.diagram
-    psi = []
+    reads, ties = [], []
     for comp in d.components:
-        labels = {state[r.slot[a]] for a in comp}
-        if len(labels) != 1:
+        first, *rest = dict.fromkeys(r.slot[a] for a in comp)
+        reads.append(first)
+        ties.extend((first, other, comp) for other in rest)
+    reads.extend(r.slot[-(i + 1)] for i in range(d.free_loops))
+    return reads, ties
+
+
+def _survivor_psi(layout: tuple[list[int], list[tuple]], state) -> tuple[int, ...]:
+    """Read a survivor state's coloring through its vertex's ``_psi_layout``."""
+    reads, ties = layout
+    for a, b, comp in ties:
+        if state[a] != state[b]:
             raise InternalCheckError(
                 f"survivor state {state} is not constant on component {comp}"
             )
-        psi.append(labels.pop())
-    for i in range(d.free_loops):
-        psi.append(state[r.slot[-(i + 1)]])
-    return tuple(psi)
+    return tuple([state[i] for i in reads])
 
 
 def _non_survivor(r: Resolution, state):
@@ -282,12 +301,16 @@ def compute_homology(cx: DeformedComplex) -> HomologyResult:
             raise InternalCheckError(f"negative homology dimension in degree {k}")
         if dim:
             dims[k] = dim
-    gens = sorted(
-        (GeneratorDescriptor(k, _survivor_psi(cx.resolutions[el.vertex], el.state))
-         for k in cx.degrees
-         for el, b in zip(cx.basis[k], cx.block_of[k]) if b is None),
-        key=_by_degree_psi,
-    )
+    layouts = {}  # vertex -> its _psi_layout, built on first use
+    gens = []
+    for k in cx.degrees:
+        for (vertex, state, _), b in zip(cx.basis[k], cx.block_of[k]):
+            if b is None:
+                layout = layouts.get(vertex)
+                if layout is None:
+                    layout = layouts[vertex] = _psi_layout(cx.resolutions[vertex])
+                gens.append(GeneratorDescriptor(k, _survivor_psi(layout, state)))
+    gens.sort()
     return HomologyResult(dims=dims, generators=tuple(gens))
 
 
@@ -302,24 +325,24 @@ def survivors_combinatorial(d: LinkDiagram, n: int) -> HomologyResult:
     where they differ) and exactly one admissible state there; the induced
     state is checked to be well defined and of the surviving types, which
     would fail loudly if the local type rules were reconstructed wrongly.
-    Each distinct resolution is built once per call.
+    Each distinct resolution and its degree are built once per call.
     """
     l = d.component_count
-    resolutions: dict[tuple, Resolution] = {}
+    # once per diagram: each crossing's (under, over) components, and the
+    # component carrying each arc, then each free loop, in ``slot`` order
+    strands = [
+        (d.component_of(c.in_under), d.component_of(c.in_over)) for c in d.crossings
+    ]
+    carrier = [d.component_of(a) for a in d.arcs] + list(range(len(d.components), l))
+    vertices: dict[tuple, tuple[Resolution, int]] = {}  # choice -> (r, its degree)
     gens = []
     for psi in product(range(n), repeat=l):
-        choice = tuple(
-            0 if psi[d.component_of(c.in_under)] == psi[d.component_of(c.in_over)]
-            else 1
-            for c in d.crossings
-        )
-        r = resolutions.get(choice)
-        if r is None:
-            r = resolutions[choice] = resolve(d, choice)
-        # arcs, then free loops: the coloring that psi induces
-        state = r.state_of(
-            [psi[d.component_of(a)] for a in d.arcs] + list(psi[len(d.components):])
-        )
+        choice = tuple([0 if psi[i] == psi[j] else 1 for i, j in strands])
+        vertex = vertices.get(choice)
+        if vertex is None:
+            vertex = vertices[choice] = (resolve(d, choice), vertex_degree(d, choice))
+        r, degree = vertex
+        state = r.state_of([psi[i] for i in carrier])  # the coloring psi induces
         if state is None:
             raise InternalCheckError(
                 f"coloring {psi} induces an ill-defined state at choice {choice}"
@@ -332,9 +355,7 @@ def survivors_combinatorial(d: LinkDiagram, n: int) -> HomologyResult:
                 f"induced state of coloring {psi} has type {kind} at "
                 f"crossing {ci}, expected {want}"
             )
-        gens.append(
-            GeneratorDescriptor(degree=vertex_degree(d, choice), psi=psi)
-        )
+        gens.append(GeneratorDescriptor(degree, psi))
     return _result(gens)
 
 

@@ -415,6 +415,17 @@ def test_negated_entry_of_a_rescaled_complex_is_caught():
     assert _assert_reports_first_failure(cx) is not None
 
 
+def test_negated_entry_failure_text_on_figure_eight():
+    cx = build_complex(fixture("figure_eight"), 3)
+    b = _blocks_with_squares(cx)[0]
+    _scale_smallest_entry(cx, b, min(cx.blocks[b]), -1)
+    assert repr(cx.check_d_squared()) == (
+        "(-2, ChainBasisElement(vertex=(1, 1, 0, 0), state=(0, 1, 0, 1, 0), degree=-2), "
+        "ChainBasisElement(vertex=(0, 0, 0, 0), state=(0, 1, 0), degree=0), "
+        "CycloNumber(-2, n=3))"
+    )
+
+
 @settings(max_examples=30)
 @given(braid_diagrams(), st.sampled_from((2, 3)), st.integers(min_value=0))
 def test_negated_entry_is_the_first_failure_on_generated_diagrams(d, n, pick):

@@ -280,9 +280,9 @@ def _sympy_coeffs(p, n):
 
 
 @st.composite
-def field_and_two_vectors(draw):
-    """Q(zeta_n), n = 2..12, and two rational vectors of up to 2*degree entries."""
-    n = draw(st.integers(min_value=2, max_value=12))
+def field_and_two_vectors(draw, min_n=2):
+    """Q(zeta_n), n = min_n..12, and two rational vectors of up to 2*degree entries."""
+    n = draw(st.integers(min_value=min_n, max_value=12))
     size = st.integers(min_value=1, max_value=2 * CycloField(n).degree)
     u = draw(st.lists(ANY_RATIONALS, min_size=1, max_size=draw(size)))
     v = draw(st.lists(ANY_RATIONALS, min_size=1, max_size=draw(size)))
@@ -318,17 +318,29 @@ def test_arithmetic_matches_sympy(nuv):
 
 
 @settings(deadline=None, max_examples=100, derandomize=True)
-@given(field_and_two_vectors(), ANY_RATIONALS.filter(bool))
-def test_equal_values_built_two_ways_are_equal_and_hash_equal(nuv, r):
+@given(
+    field_and_two_vectors(min_n=1),
+    ANY_RATIONALS.filter(bool),
+    st.integers(min_value=-5, max_value=5),
+)
+def test_equal_values_built_two_ways_are_equal_and_hash_equal(nuv, r, k):
     n, u, v = nuv
     fld = CycloField(n)
     a, b = fld.element(u), fld.element(v)
+    # an int operand takes from_rational's int shortcut, a Fraction does not
+    rational_k = fld.from_rational(Fraction(k))
     pairs = [
         (fld.element([c * r for c in u]), a * r),
         (a * b, b * a),
         ((a + b) - b, a),
         (a + r, r + a),
+        (a * k, a * rational_k),
+        (k * a, rational_k * a),
+        (a + k, a + rational_k),
+        (fld.from_rational(k), rational_k),
     ]
+    assert (a == k) == (a == rational_k)
+    assert fld.element([k]) == k
     if not a.is_zero:
         pairs.append((a.inv().inv(), a))
         pairs.append(((a * b) / a, b))

@@ -1,11 +1,13 @@
 """The three homology computations and their exact agreement."""
 
+import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from slndeform.chain import build_complex, rescale_basis
+from slndeform.chain import ChainBasisElement, LocalType, build_complex, rescale_basis
 from slndeform import homology
 from slndeform.cyclotomic import CycloField
 from slndeform.diagram import parse, parse_pd, parse_signed, render_signed
@@ -14,6 +16,7 @@ from slndeform.fixtures import FIXTURES, fixture, fixture_names
 from slndeform.homology import (
     GeneratorDescriptor,
     _non_survivor,
+    _psi_layout,
     _result,
     _survivor_psi,
     closed_form,
@@ -22,6 +25,7 @@ from slndeform.homology import (
     matrix_rank,
     survivors_combinatorial,
 )
+from slndeform.resolution import Resolution
 from test_states import braid_diagrams
 
 TORUS_2_3 = FIXTURES["trefoil_right"]
@@ -370,7 +374,8 @@ def _assert_block_ranks_match(cx):
         for el in cx.basis[k]:
             r = cx.resolutions[el.vertex]
             if _non_survivor(r, el.state) is None:
-                scan.append(GeneratorDescriptor(k, _survivor_psi(r, el.state)))
+                psi = _survivor_psi(_psi_layout(r), el.state)
+                scan.append(GeneratorDescriptor(k, psi))
     assert compute_homology(cx).generators == tuple(sorted(scan))
 
 
@@ -491,3 +496,91 @@ def test_kink_beside_five_unknots_cross_validates():
     rep = cross_validate(parse_pd("X[1,2,2,1] U U U U U"), 4)
     assert rep.passed, rep.messages
     assert rep.computed.dims == {0: 4096}
+
+
+# ----------------------------------------------------------------------
+# The records and the checks of the per-coloring loops
+# ----------------------------------------------------------------------
+
+def test_records_are_immutable_named_tuples_ordered_by_their_fields():
+    g = GeneratorDescriptor(0, (0, 1))
+    assert GeneratorDescriptor._fields == ("degree", "psi")
+    assert repr(g) == "GeneratorDescriptor(degree=0, psi=(0, 1))"
+    el = ChainBasisElement((0, 1), (2, 0, 1), -1)
+    assert ChainBasisElement._fields == ("vertex", "state", "degree")
+    assert repr(el) == "ChainBasisElement(vertex=(0, 1), state=(2, 0, 1), degree=-1)"
+    for record, name in ((g, "psi"), (el, "state")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, ())
+        with pytest.raises(TypeError):
+            record[0] = 1
+    gens = [GeneratorDescriptor(2, (0, 1)), GeneratorDescriptor(0, (1, 0)),
+            GeneratorDescriptor(0, (0, 1)), GeneratorDescriptor(-2, (1, 1))]
+    assert sorted(gens) == [gens[3], gens[2], gens[1], gens[0]]
+
+
+def test_generator_scan_rejects_a_state_not_constant_on_a_component():
+    cx = build_complex(fixture("trefoil_right"), 2)
+    k, i = next(
+        (k, i) for k in cx.degrees for i, b in enumerate(cx.block_of[k])
+        if b is None and len(cx.resolutions[cx.basis[k][i].vertex].thin_edges) > 1
+    )
+    el = cx.basis[k][i]
+    # the knot's one component runs through every thin edge: relabel the first
+    state = (1 - el.state[0],) + el.state[1:]
+    basis = dict(cx.basis)
+    basis[k] = basis[k][:i] + (el._replace(state=state),) + basis[k][i + 1:]
+    with pytest.raises(InternalCheckError, match="is not constant on component"):
+        compute_homology(replace(cx, basis=basis))
+
+
+def test_survivors_reject_an_ill_defined_induced_state(monkeypatch):
+    monkeypatch.setattr(Resolution, "state_of", lambda self, coloring: None)
+    with pytest.raises(InternalCheckError, match="induces an ill-defined state"):
+        survivors_combinatorial(fixture("hopf_pos"), 2)
+
+
+def test_survivors_reject_an_induced_state_of_the_wrong_type(monkeypatch):
+    monkeypatch.setattr(
+        homology, "_non_survivor", lambda r, state: (0, LocalType.TYPE1, LocalType.TYPE2)
+    )
+    with pytest.raises(InternalCheckError, match="has type .* at crossing 0, expected"):
+        survivors_combinatorial(fixture("hopf_pos"), 2)
+
+
+# ----------------------------------------------------------------------
+# Split unions of generated diagrams
+# ----------------------------------------------------------------------
+
+def split_union(d1, d2):
+    """The split union of two diagrams: d2's arc labels shifted past d1's."""
+    shift = max(d1.arcs, default=0)
+    shifted = re.sub(r"\d+", lambda m: str(int(m.group()) + shift), render_signed(d2))
+    return parse_signed(f"{render_signed(d1)} {shifted}")
+
+
+def _convolved(p, q):
+    out = Counter()
+    for i, x in p.items():
+        for j, y in q.items():
+            out[i + j] += x * y
+    return dict(out)
+
+
+# the union's chain dimension is the product of the parts', so examples are
+# kept to unions of at most UNION_CHAIN_MAX basis elements
+UNION_CHAIN_MAX = 20_000
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(braid_diagrams(), braid_diagrams(), st.sampled_from((3, 4)))
+def test_split_union_convolves_homology_and_chain_dims(d1, d2, n):
+    chains = [build_complex(d, n).dims() for d in (d1, d2)]
+    assume(sum(chains[0].values()) * sum(chains[1].values()) <= UNION_CHAIN_MAX)
+    union = split_union(d1, d2)
+    assert union.component_count == d1.component_count + d2.component_count
+    rep = cross_validate(union, n)
+    assert rep.passed, rep.messages
+    parts = [cross_validate(d, n) for d in (d1, d2)]
+    assert rep.computed.dims == _convolved(*(p.computed.dims for p in parts))
+    assert build_complex(union, n).dims() == _convolved(*chains)
