@@ -15,11 +15,13 @@ basis: the complex is integral, and Q(zeta_n) enters only through such a
 rescaling.  ``build_complex`` therefore stores every entry as the Python
 int 1 or -1, the standard alternating cube sign (parity of the 1-bits
 before the flipped crossing), which makes the squares anticommute;
-``rescale_basis`` exists precisely to exercise the claim, and its entries
-are ``CycloNumber``s.  The deformation scale beta could change only these
-nonzero scalars, so the complex does not take it; the lemma and the
-projectors read it.  ``check_d_squared`` verifies d o d = 0 exactly with
-the entries as stored, ints or field elements alike.
+``rescale_basis`` exists precisely to exercise the claim.  It conjugates
+the integral complex by a diagonal of monomials zeta^e * p/q, so each
+rescaled entry is again a monomial, built in integer arithmetic as a
+``CycloNumber`` with no field product or inverse.  The deformation scale
+beta could change only these nonzero scalars, so the complex does not take
+it; the lemma and the projectors read it.  ``check_d_squared`` verifies
+d o d = 0 exactly with the entries as stored, ints or field elements alike.
 
 The differential keeps every arc's label, so the complex splits into one
 block per arc coloring, stored as ``DeformedComplex.blocks``: the cube over
@@ -33,7 +35,6 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
@@ -310,31 +311,49 @@ def build_complex(
 
 
 def rescale_basis(cx: DeformedComplex, seed: int) -> DeformedComplex:
-    """Conjugate the differential by a seeded diagonal with nonzero entries."""
+    """Conjugate the differential by a seeded diagonal of monomials zeta^e * p/q.
+
+    Each basis element draws p = +-(1..5), q in 1..4 and e in 0..n-1, in that
+    order, from ``random.Random(seed)``.
+    """
     rng = random.Random(seed)
     scalars = {}
     for k in cx.degrees:
         col = []
         for _ in cx.basis[k]:
-            num = rng.randint(1, 5) * rng.choice((1, -1))
-            den = rng.randint(1, 4)
-            expo = rng.randrange(cx.n)
-            col.append(cx.field.root(expo) * Fraction(num, den))
+            p = rng.randint(1, 5) * rng.choice((1, -1))
+            q = rng.randint(1, 4)
+            col.append((rng.randrange(cx.n), p, q))
         scalars[k] = col
     return rescale_with(cx, scalars)
 
 
 def rescale_with(cx: DeformedComplex, scalars: dict[int, list]) -> DeformedComplex:
-    """Explicit diagonal change of basis; each block rescales into itself."""
+    """Explicit diagonal change of basis; each block rescales into itself.
+
+    ``scalars[k]`` holds one int triple (e, p, q), standing for the monomial
+    zeta^e * p/q, per basis element of degree k; p = 0 or q = 0 raises
+    ValueError.  Only the integral complex of ``build_complex`` is accepted:
+    an entry v that is not an int raises ValueError.  The entry v from s to t
+    becomes S[t] * v / S[s] = zeta^(e_t - e_s) * (v p_t q_s) / (q_t p_s),
+    built by ``CycloField.monomial`` in integer arithmetic.
+    """
     for k in cx.degrees:
         col = scalars.get(k, ())
-        if len(col) != len(cx.basis[k]) or any(v.is_zero for v in col):
+        if len(col) != len(cx.basis[k]) or not all(p and q for _, p, q in col):
             raise ValueError("rescaling needs one nonzero scalar per basis element")
+    monomial = cx.field.monomial
 
     def rescaled(k, entries):
         target, source = scalars[k + 1], scalars[k]
-        inverse = {s: source[s].inv() for s in {s for _, s in entries}}
-        return {(t, s): target[t] * v * inverse[s] for (t, s), v in entries.items()}
+        out = {}
+        for (t, s), v in entries.items():
+            if type(v) is not int:
+                raise ValueError(f"rescaling needs an integral complex, got entry {v!r}")
+            et, pt, qt = target[t]
+            es, ps, qs = source[s]
+            out[t, s] = monomial(et - es, v * pt * qs, qt * ps)
+        return out
 
     return replace(cx, blocks={
         b: {k: rescaled(k, entries) for k, entries in per_degree.items()}

@@ -15,7 +15,10 @@ storage.  Phi_n is monic with integer coefficients, so sums and products
 stay in the integers and each operation normalises once.  The inverse is
 read off the norm: 1/a is the product of the Galois conjugates sigma_k(a),
 k != 1 a unit mod n, divided by N(a), which is checked to be a nonzero
-rational.  ``coeffs`` gives the rational coefficients as Fractions.
+rational.  A monomial zeta^e * p/q (``CycloField.monomial``) is one
+integer row scaled by p/q, and a rational divided by an element scales the
+inverse the same way, so neither pays a field product.  ``coeffs`` gives
+the rational coefficients as Fractions.
 """
 
 from __future__ import annotations
@@ -115,12 +118,13 @@ class CycloField:
         self.n = n
         self.phi = cyclotomic_polynomial(n)
         self.degree = d = len(self.phi) - 1
-        # x^k mod Phi_n for k = 0 .. 2*(degree-1); used to fold products.
-        # Phi_n is monic with integer coefficients, so the rows are integers.
+        # x^k mod Phi_n for k = 0 .. max(2*(degree-1), n-1): they fold
+        # products and give each root of unity.  Phi_n is monic with integer
+        # coefficients, so the rows are integers.
         self._xpow: list[tuple[int, ...]] = [
             tuple(int(i == k) for i in range(d)) for k in range(d)
         ]
-        self._pow_row(2 * d - 2)
+        self._pow_row(max(2 * d - 2, n - 1))
         # The Galois conjugations sigma_k: zeta -> zeta^k, one for each unit
         # k != 1 mod n, each given by the rows x^i is sent to.  a times the
         # product of its conjugates is the norm N(a), a rational.
@@ -180,8 +184,16 @@ class CycloField:
         """zeta_n^k as a field element."""
         k %= self.n
         if k not in self._root_cache:
-            self._root_cache[k] = CycloNumber(self, self._pow_row(k), 1)
+            self._root_cache[k] = CycloNumber(self, self._xpow[k], 1)
         return self._root_cache[k]
+
+    def monomial(self, e: int, p: int, q: int) -> "CycloNumber":
+        """zeta_n^e * p/q for ints e, p and q != 0, with no field product.
+
+        The integer row of zeta^(e mod n) is scaled by p over q and
+        normalised once; p = 0 gives the canonical zero.
+        """
+        return CycloNumber(self, *_scaled(self._xpow[e % self.n], 1, p, q))
 
     # -- arithmetic kernels ---------------------------------------------
 
@@ -248,6 +260,13 @@ class CycloField:
 
     def __repr__(self):
         return f"CycloField(n={self.n})"
+
+
+def _scaled(num: tuple, den: int, p: int, q: int) -> tuple:
+    """``(num, den)`` times the rational p/q, q != 0, in canonical form."""
+    if q < 0:
+        p, q = -p, -q
+    return _canon([p * x for x in num], den * q)
 
 
 def _canon(num: list, den: int) -> tuple:
@@ -342,10 +361,13 @@ class CycloNumber:
         return self * o.inv()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        """other / self for a rational other: 1/self scaled, no field product."""
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o * self.inv()
+        inv = self.inv()
+        return CycloNumber(
+            self.field, *_scaled(inv.num, inv.den, other.numerator, other.denominator)
+        )
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):

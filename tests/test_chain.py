@@ -264,9 +264,13 @@ def test_crossing_bound_enforced():
 
 def test_identity_rescaling_is_identity():
     cx = build_complex(fixture("hopf_pos"), 2)
-    ones = {k: [cx.field.one] * len(cx.basis[k]) for k in cx.degrees}
+    ones = {k: [(0, 1, 1)] * len(cx.basis[k]) for k in cx.degrees}
     same = rescale_with(cx, ones)
     assert same.blocks == cx.blocks
+    assert all(
+        isinstance(v, CycloNumber)
+        for per in same.blocks.values() for es in per.values() for v in es.values()
+    )
 
 
 def test_rescaling_preserves_d_squared_and_homology():
@@ -281,14 +285,78 @@ def test_rescaling_preserves_d_squared_and_homology():
 
 def test_rescaling_rejects_zero_scalars():
     cx = build_complex(fixture("hopf_pos"), 2)
-    bad = {k: [cx.field.zero] + [cx.field.one] * (len(cx.basis[k]) - 1)
-           for k in cx.degrees}
-    with pytest.raises(ValueError):
-        rescale_with(cx, bad)
+    for zero in ((0, 0, 1), (0, 1, 0)):  # p = 0, then q = 0
+        bad = {k: [zero] + [(0, 1, 1)] * (len(cx.basis[k]) - 1) for k in cx.degrees}
+        with pytest.raises(ValueError, match="one nonzero scalar per basis element"):
+            rescale_with(cx, bad)
     # a degree of the complex with no scalars at all
-    missing = {k: [cx.field.one] * len(cx.basis[k]) for k in cx.degrees[1:]}
+    missing = {k: [(0, 1, 1)] * len(cx.basis[k]) for k in cx.degrees[1:]}
     with pytest.raises(ValueError, match="one nonzero scalar per basis element"):
         rescale_with(cx, missing)
+
+
+def test_rescaling_rejects_a_complex_that_is_not_integral():
+    cx = build_complex(fixture("hopf_pos"), 3)
+    ones = {k: [(0, 1, 1)] * len(cx.basis[k]) for k in cx.degrees}
+    with pytest.raises(ValueError, match="integral complex"):
+        rescale_with(rescale_basis(cx, 0), ones)
+    k = min(cx.blocks[0])
+    key = min(cx.blocks[0][k])
+    cx.blocks[0][k][key] = Fraction(1, 2)
+    with pytest.raises(ValueError, match="integral complex"):
+        rescale_with(cx, ones)
+
+
+def _rescale_and_draws(cx, seed):
+    """rescale_basis(cx, seed) and the triples it hands to rescale_with."""
+    drawn = {}
+
+    def spy(cx_, scalars):
+        drawn.update(scalars)
+        return rescale_with(cx_, scalars)
+
+    chain.rescale_with = spy
+    try:
+        return rescale_basis(cx, seed), drawn
+    finally:
+        chain.rescale_with = rescale_with
+
+
+def _assert_rescaled_by_field_products(cx, seed):
+    """Each rescaled entry equals S[t] * v * S[s].inv() in field arithmetic.
+
+    S = root(e) * Fraction(p, q) from the drawn triples, with honest
+    ``CycloNumber`` products and norm inverses; the rescaled blocks keep the
+    keys and the entry order of the integral ones.
+    """
+    rx, drawn = _rescale_and_draws(cx, seed)
+    field = cx.field
+    scale = {
+        k: [field.root(e) * Fraction(p, q) for e, p, q in col] for k, col in drawn.items()
+    }
+    assert rx.blocks.keys() == cx.blocks.keys()
+    for b, per_degree in cx.blocks.items():
+        assert rx.blocks[b].keys() == per_degree.keys()
+        for k, entries in per_degree.items():
+            got = rx.blocks[b][k]
+            assert list(got) == list(entries)
+            for (t, s), v in entries.items():
+                want = scale[k + 1][t] * v * scale[k][s].inv()
+                assert (got[t, s].num, got[t, s].den) == (want.num, want.den), (b, k, t, s)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+@pytest.mark.parametrize("name", ["hopf_pos", "trefoil_left", "figure_eight"])
+def test_rescaled_entries_match_field_arithmetic(name, n):
+    cx = build_complex(fixture(name), n)
+    for seed in range(4):
+        _assert_rescaled_by_field_products(cx, seed)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(braid_diagrams(), st.sampled_from((3, 4)), st.integers(min_value=0, max_value=2**16))
+def test_rescaled_entries_match_field_arithmetic_on_generated_diagrams(d, n, seed):
+    _assert_rescaled_by_field_products(build_complex(d, n), seed)
 
 
 def test_injected_sign_flip_is_detected_and_named():

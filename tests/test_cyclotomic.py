@@ -5,9 +5,9 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from slndeform.cyclotomic import CycloField, cyclotomic_polynomial, root
+from slndeform.cyclotomic import CycloField, CycloNumber, cyclotomic_polynomial, root
 from slndeform.errors import InternalCheckError
 from slndeform.fixtures import fixture
 from slndeform.potential import MultiPoly
@@ -365,3 +365,64 @@ def test_norm_that_is_not_rational_raises(monkeypatch):
     monkeypatch.setattr(fld, "_conjugates", fld._conjugates[:-1])
     with pytest.raises(InternalCheckError):
         (fld.root(1) + 2).inv()
+
+
+# ----------------------------------------------------------------------
+# Monomials and rational numerators, built by integer scaling
+# ----------------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=-30, max_value=30),
+    st.integers(min_value=-20, max_value=20).filter(bool),
+)
+@example(n=1, e=-3, p=4, q=-6)
+@example(n=6, e=-1, p=0, q=-5)
+@example(n=6, e=3, p=3, q=-9)
+@example(n=7, e=13, p=-2, q=4)
+def test_monomial_is_root_times_rational(n, e, p, q):
+    fld = CycloField(n)
+    got = fld.monomial(e, p, q)
+    want = fld.root(e) * Fraction(p, q)
+    _assert_canonical(got)
+    assert (got.num, got.den) == (want.num, want.den)
+    if p == 0:
+        assert got.num == (0,) * fld.degree and got.den == 1
+
+
+def test_rational_over_element_scales_the_inverse(monkeypatch):
+    fld = CycloField(5)
+    a = fld.element([2, -1, Fraction(1, 3), 5])
+    products = []
+    mul = CycloNumber.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(CycloNumber, "__mul__", counting)
+    monkeypatch.setattr(CycloNumber, "__rmul__", counting)
+    quotients = [Fraction(1) / a, 1 / a, Fraction(3, 2) / a, -4 / a, Fraction(0) / a]
+    assert products == []
+    monkeypatch.undo()
+    assert (quotients[0].num, quotients[0].den) == (a.inv().num, a.inv().den)
+    assert quotients[1] == a.inv()
+    assert (Fraction(3, 2) / a) * a == Fraction(3, 2)
+    assert quotients[3] * a == -4
+    assert quotients[4].is_zero
+    for x in quotients:
+        _assert_canonical(x)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(field_and_element(), ANY_RATIONALS)
+def test_rational_over_element_matches_product_with_inverse(fb, r):
+    fld, a = fb
+    assume(not a.is_zero)
+    got = r / a
+    want = fld.from_rational(r) * a.inv()
+    _assert_canonical(got)
+    assert (got.num, got.den) == (want.num, want.den)
