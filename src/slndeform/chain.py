@@ -25,9 +25,14 @@ d o d = 0 exactly with the entries as stored, ints or field elements alike.
 
 The differential keeps every arc's label, so the complex splits into one
 block per arc coloring, stored as ``DeformedComplex.blocks``: the cube over
-the crossings free for that coloring.  ``build_complex`` assembles each cube
-directly; ``matched_pairs`` is the classifying reference it is tested against.
-d o d, the ranks and rescaling run block by block.
+the crossings free for that coloring.  ``build_complex`` takes the cubes
+from one walk over the arc colorings of the diagram (``_arc_colorings``),
+which also counts the chain dimension, so ``max_chain_dim`` stops a run
+before any vertex is resolved; no per-vertex state search is involved.
+The resolution-based ``enumerate_admissible`` stays the oracle for that
+walk (``DeformedComplex.check_states``), and ``matched_pairs`` the
+classifying reference for the entries.  d o d, the ranks and rescaling run
+block by block.
 """
 
 from __future__ import annotations
@@ -35,13 +40,14 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import groupby, islice, product
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .cyclotomic import CycloField, CycloNumber
 from .diagram import Crossing, LinkDiagram
 from .errors import InternalCheckError, SizeBoundError
-from .resolution import Resolution, degree as vertex_degree, resolve
+from .resolution import Resolution, degree as vertex_degree, reader, resolve
 from .states import enumerate_admissible
 
 __all__ = [
@@ -53,9 +59,11 @@ __all__ = [
     "build_complex",
     "rescale_basis",
     "DEFAULT_MAX_CROSSINGS",
+    "DEFAULT_MAX_CHAIN_DIM",
 ]
 
 DEFAULT_MAX_CROSSINGS = 12
+DEFAULT_MAX_CHAIN_DIM = 500_000  # admits T(2,9) at n = 4: 118,108 elements
 
 
 class LocalType(enum.Enum):
@@ -226,6 +234,22 @@ class DeformedComplex:
         value = self.field.one * failures[k, tgt, src]
         return k, self.basis[k][src], self.basis[k + 2][tgt], value
 
+    def check_states(self):
+        """The first vertex whose states are not ``enumerate_admissible``'s, or None.
+
+        The resolution-based enumeration is the oracle for the arc-coloring
+        walk that ``build_complex`` assembles from: at every vertex the
+        complex's states, in basis order, must be exactly its states.
+        """
+        found: dict[tuple, list] = {}
+        for k in self.degrees:
+            for el in self.basis[k]:
+                found.setdefault(el.vertex, []).append(el.state)
+        for v, r in self.resolutions.items():
+            if tuple(found.get(v, ())) != enumerate_admissible(r, self.n):
+                return v
+        return None
+
     def matrices_json(self) -> dict:
         merged = self.differentials
         return {
@@ -234,69 +258,213 @@ class DeformedComplex:
         }
 
 
-def build_complex(
-    d: LinkDiagram, n: int, *, max_crossings: int = DEFAULT_MAX_CROSSINGS
-) -> DeformedComplex:
-    """Assemble the cube complex, one arc-coloring cube at a time.
+def _arc_colorings(d: LinkDiagram, n: int, max_chain_dim: int) -> list[tuple]:
+    """Every arc coloring some cube vertex admits, as (labels, free, ones).
 
-    A crossing is free for a state with l1 = l3 != l2 at slots 1..3 (type 3
-    at bit 0, type 1 at bit 1).  The states with free crossings form one cube
-    per arc coloring, which becomes the next block: one entry per member and
-    free crossing at which the member is the source, the int cube sign,
-    filed crossing-major (see ``DeformedComplex``).  A cube with fewer than
-    2^|free| members raises InternalCheckError.
+    At each crossing a coloring shows one of three pieces at slots 1..4: all
+    four labels equal (bit 0 forced), l1 = l3 != l2 = l4 (free: either bit)
+    or l1 = l4 != l2 = l3 (bit 1 forced); other labels admit no vertex.
+    ``labels`` gives each arc of ``d.arcs`` its label, and ``free`` and
+    ``ones`` are crossing masks with crossing i at bit k-1-i, so that masks
+    order as vertex tuples do: the coloring's cube is the vertices ``ones``
+    | s for the subsets s of ``free``.  The walk visits next the crossing
+    that shares the most arcs already labelled, and reads the labels of its
+    other arcs off the piece it tries.  Free loops stay out of the walk:
+    each coloring stands for n^loops of them.  The chain dimension, the sum
+    of 2^|free| * n^loops, is counted as the colorings come out, and passing
+    ``max_chain_dim`` raises SizeBoundError.
+    """
+    k = len(d.crossings)
+    where = {a: p for p, a in enumerate(d.arcs)}
+    slots = [
+        (where[c.out_over], where[c.out_under], where[c.in_under], where[c.in_over])
+        for c in d.crossings
+    ]
+    # per step, the pieces of its crossing: (first group, second group or
+    # None, free bit, one bit), a group of equal labels given as (its arcs
+    # labelled at earlier steps, its arcs labelled here)
+    plan, seen, left = [], set(), list(range(k))
+    while left:
+        i = max(left, key=lambda j: len(seen.intersection(slots[j])))
+        left.remove(i)
+        p1, p2, p3, p4 = slots[i]
+        bit = 1 << (k - 1 - i)
+        pieces = []
+        for groups, free, one in (
+            (((p1, p2, p3, p4),), 0, 0),
+            (((p1, p3), (p2, p4)), bit, 0),
+            (((p1, p4), (p2, p3)), 0, bit),
+        ):
+            split = [
+                (tuple(p for p in g if p in seen),
+                 tuple(dict.fromkeys(p for p in g if p not in seen)))
+                for g in groups
+            ]
+            new = [p for _, fresh in split for p in fresh]
+            if len(new) == len(set(new)):  # else one arc would need two labels
+                pieces.append((split[0], split[1] if len(split) > 1 else None, free, one))
+        plan.append(pieces)
+        seen.update(slots[i])
+
+    labels = [0] * len(d.arcs)
+    every = range(n)
+    per_coloring = n ** d.free_loops
+    out = []
+    total = 0
+
+    def options(known):
+        if not known:
+            return every
+        x = labels[known[0]]
+        for p in known:
+            if labels[p] != x:
+                return ()
+        return (x,)
+
+    def walk(step, free, ones):
+        nonlocal total
+        if step == k:
+            total += per_coloring << free.bit_count()
+            if total > max_chain_dim:
+                raise SizeBoundError(f"chain dimension exceeds the bound {max_chain_dim}")
+            out.append((tuple(labels), free, ones))
+            return
+        for (known, fresh), second, f, o in plan[step]:
+            for x in options(known):
+                for p in fresh:
+                    labels[p] = x
+                if second is None:
+                    walk(step + 1, free | f, ones | o)
+                    continue
+                known2, fresh2 = second
+                for y in options(known2):
+                    if y != x:
+                        for p in fresh2:
+                            labels[p] = y
+                        walk(step + 1, free | f, ones | o)
+
+    walk(0, 0, 0)
+    del walk  # it refers to itself: a cycle that would keep ``out`` alive
+    return out
+
+
+def _cube_layout(free: int, k: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """The subsets of crossing mask ``free`` in ascending order, and its edges.
+
+    Member j of a cube sits at vertex ``ones | subsets[j]``, so members
+    ascend with their vertices.  Each free crossing, in crossing order,
+    gives (the bit of j that flips it, the crossing).
+    """
+    subsets = [0]
+    while nxt := (subsets[-1] - free) & free:  # the next subset up; 0 once past free
+        subsets.append(nxt)
+    crossings = [i for i in range(k) if free >> (k - 1 - i) & 1]
+    f = len(crossings)
+    return subsets, [(1 << (f - 1 - t), i) for t, i in enumerate(crossings)]
+
+
+def build_complex(
+    d: LinkDiagram,
+    n: int,
+    *,
+    max_crossings: int = DEFAULT_MAX_CROSSINGS,
+    max_chain_dim: int = DEFAULT_MAX_CHAIN_DIM,
+) -> DeformedComplex:
+    """Assemble the cube complex from the arc colorings, one cube each.
+
+    ``_arc_colorings`` lists each coloring with its free and forced-one
+    crossings, and gates the chain dimension before any vertex is resolved.
+    Each member of a coloring's cube reads its state off the coloring
+    through its vertex's ``Resolution.reads``; each vertex sorts its states
+    once, and one state arriving twice (a coloring listed twice) raises
+    InternalCheckError.  A cube with free crossings becomes a block for
+    each labelling of the free loops, numbered by its first member in
+    (vertex, state) order: one entry per member and free crossing at which
+    the member is the source, the int cube sign, filed crossing-major (see
+    ``DeformedComplex``).  Partners and signs come from bit masks.
     """
     k = len(d.crossings)
     if k > max_crossings:
         raise SizeBoundError(f"{k} crossings exceed the bound {max_crossings}")
+    colorings = _arc_colorings(d, n, max_chain_dim)
 
-    vertices = list(product((0, 1), repeat=k))
+    vertices = list(product((0, 1), repeat=k))  # vertex mask m is vertices[m]
     resolutions = {v: resolve(d, v) for v in vertices}
-    vdeg = {v: vertex_degree(d, v) for v in vertices}
-    disk = [(c.out_over, c.out_under, c.in_under) for c in d.crossings]  # slots 1..3
+    vdeg = [vertex_degree(d, v) for v in vertices]
+    read = [reader(r.reads[d.free_loops:]) for r in resolutions.values()]  # loops lead
+
+    # each member's arc state at its vertex, beside its member number
+    # (colorings in order, each cube's members in subset order)
+    layouts: dict[int, tuple] = {}
+    states: list[list] = [[] for _ in vertices]
+    members: list[list[int]] = [[] for _ in vertices]
+    count = 0
+    for labels, free, ones in colorings:
+        layout = layouts.get(free)
+        if layout is None:
+            layout = layouts[free] = _cube_layout(free, k)
+        for s in layout[0]:
+            m = ones | s
+            states[m].append(read[m](labels))
+            members[m].append(count)
+            count += 1
 
     basis: dict[int, list[ChainBasisElement]] = {}
-    # arc coloring -> (its free crossings, {vertex: index of its member})
-    cubes: dict[tuple, tuple[list[int], dict]] = {}
-    for v in vertices:  # lexicographic vertex order, then state order
-        r, kv = resolutions[v], vdeg[v]
+    loops = list(product(range(n), repeat=d.free_loops))
+    place = [0] * count  # member -> place among its vertex's states
+    start = [0] * len(vertices)  # vertex -> index of its first element in its column
+    size = [0] * len(vertices)  # vertex -> its arc states, one run per loop labelling
+    for m, v in enumerate(vertices):  # lexicographic vertex order, then state order
+        kv, found, numbers = vdeg[m], states[m], members[m]
+        order = sorted(range(len(found)), key=found.__getitem__)
+        ordered = [found[i] for i in order]
+        if any(map(eq, ordered, islice(ordered, 1, None))):
+            twice = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
+            raise InternalCheckError(
+                f"vertex {v} receives state {twice} twice: an arc coloring was listed twice"
+            )
+        for p, i in enumerate(order):
+            place[numbers[i]] = p
         column = basis.setdefault(kv, [])
-        slots = [(r.slot[a], r.slot[b], r.slot[c]) for a, b, c in disk]
-        for s in enumerate_admissible(r, n):
-            free = [i for i, (a, b, c) in enumerate(slots) if s[a] == s[c] != s[b]]
-            if free:
-                members = cubes.setdefault(r.coloring(s), (free, {}))[1]
-                if members.setdefault(v, len(column)) != len(column):
-                    raise InternalCheckError(
-                        f"two states at {v} carry the arc coloring of {s}"
-                    )
-            column.append(ChainBasisElement(v, s, kv))
+        start[m], size[m] = len(column), len(ordered)
+        for prefix in loops:
+            column.extend([ChainBasisElement(v, prefix + s, kv) for s in ordered])
+        states[m] = members[m] = None
+
+    # cubes with free crossings by their first member: vertex, loop labels, state
+    cubes = []
+    first = 0
+    for _, free, ones in colorings:
+        if free:
+            cubes.append((ones, place[first], first, free))
+        first += 1 << free.bit_count()
+    del colorings, states, members
+    cubes.sort()
 
     block_of = {k_: [None] * len(b) for k_, b in basis.items()}
     blocks: dict[int, dict[int, dict[tuple[int, int], int]]] = {}
     signs = (1, -1)  # by the parity of 1-bits before the crossing
-    source_bit = [0 if c.sign > 0 else 1 for c in d.crossings]
-    for b, (coloring, (free, members)) in enumerate(cubes.items()):
-        per_degree = blocks[b] = {}
-        for v, i in members.items():
-            block_of[vdeg[v]][i] = b
-        for ci in free:  # crossing-major: the first free crossing's entries first
-            for v, i in members.items():
-                if v[ci] != source_bit[ci]:
-                    continue
-                kv = vdeg[v]
-                t = members.get(v[:ci] + (1 - v[ci],) + v[ci + 1:])
-                if t is None:
-                    raise InternalCheckError(
-                        f"state {basis[kv][i].state} at {v} has no admissible "
-                        f"partner across crossing {d.crossings[ci].id}"
-                    )
-                per_degree.setdefault(kv, {})[t, i] = signs[sum(v[:ci]) % 2]
-        if len(members) != 1 << len(free):  # a lost all-source member misses no lookup
-            raise InternalCheckError(
-                f"the cube of arc coloring {coloring} has {len(members)} members, "
-                f"not 2^{len(free)}"
-            )
+    negative = [0 if c.sign > 0 else 1 for c in d.crossings]
+    for _, group in groupby(cubes, key=itemgetter(0)):
+        group = list(group)
+        for run in range(len(loops)):
+            for ones, _, first, free in group:
+                subsets, edges = layouts[free]
+                at = [ones | s for s in subsets]
+                index = [
+                    start[m] + run * size[m] + place[first + j] for j, m in enumerate(at)
+                ]
+                b = len(blocks)
+                per_degree = blocks[b] = {}
+                for m, i in zip(at, index):
+                    block_of[vdeg[m]][i] = b
+                for jb, ci in edges:  # crossing-major
+                    source, shift = (jb if negative[ci] else 0), k - ci
+                    for j, m in enumerate(at):
+                        if j & jb == source:
+                            per_degree.setdefault(vdeg[m], {})[index[j ^ jb], index[j]] = (
+                                signs[(m >> shift).bit_count() & 1]
+                            )
 
     return DeformedComplex(
         diagram=d,

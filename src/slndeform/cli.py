@@ -10,8 +10,9 @@ Commands:
 * ``complex``   -- per-degree chain dimensions and optional sparse matrix
   dump of the differentials.
 * ``verify``    -- the identity suites: admissibility lemma brute force,
-  projector identities, telescoping identity, d^2 = 0 with rescaling
-  invariance, and the three-way homology cross-validation.  Only ``verify``
+  projector identities, telescoping identity, the complex's states against
+  the per-resolution enumeration, d^2 = 0 with rescaling invariance, and
+  the three-way homology cross-validation.  Only ``verify``
   takes ``--beta``: the complex and its homology do not depend on it.
 
 Exit codes: 0 success, 1 mathematical mismatch, 2 input error, 3 resource
@@ -30,7 +31,12 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import product
 
-from .chain import DEFAULT_MAX_CROSSINGS, build_complex, rescale_basis
+from .chain import (
+    DEFAULT_MAX_CHAIN_DIM,
+    DEFAULT_MAX_CROSSINGS,
+    build_complex,
+    rescale_basis,
+)
 from .diagram import DiagramError, LinkDiagram, linking_matrix, parse, writhe
 from .errors import InternalCheckError, SizeBoundError
 from .fixtures import FIXTURES
@@ -73,6 +79,7 @@ class RunConfig:
     beta: Fraction = Fraction(1)
     fmt: str = "text"
     max_crossings: int = DEFAULT_MAX_CROSSINGS
+    max_chain_dim: int = DEFAULT_MAX_CHAIN_DIM
     max_raw_states: int = DEFAULT_MAX_RAW_STATES
     seed: int = 0
 
@@ -85,7 +92,7 @@ class RunConfig:
             raise DiagramError("--n must be >= 2")
         if self.beta == 0:
             raise DiagramError("--beta must be nonzero")
-        if self.max_crossings <= 0 or self.max_raw_states <= 0:
+        if min(self.max_crossings, self.max_chain_dim, self.max_raw_states) <= 0:
             raise DiagramError("size bounds must be positive")
 
 
@@ -123,7 +130,9 @@ def _dims_str(dims: dict) -> str:
 # ----------------------------------------------------------------------
 
 def cmd_homology(name: str, d: LinkDiagram, cfg: RunConfig) -> int:
-    report = cross_validate(d, cfg.n, max_crossings=cfg.max_crossings)
+    report = cross_validate(
+        d, cfg.n, max_crossings=cfg.max_crossings, max_chain_dim=cfg.max_chain_dim
+    )
     closed, computed, agree = report.closed, report.computed, report.passed
 
     payload = {
@@ -205,7 +214,9 @@ def cmd_states(
 def cmd_complex(
     name: str, d: LinkDiagram, matrices: bool, cfg: RunConfig
 ) -> int:
-    cx = build_complex(d, cfg.n, max_crossings=cfg.max_crossings)
+    cx = build_complex(
+        d, cfg.n, max_crossings=cfg.max_crossings, max_chain_dim=cfg.max_chain_dim
+    )
     dims = cx.dims()
     payload = {
         "diagram": name,
@@ -317,6 +328,12 @@ def _suite_complex(cfg: RunConfig):
     for name in VERIFY_DIAGRAMS:
         d = parse(FIXTURES[name])
         cx = build_complex(d, cfg.n)
+        vertex = cx.check_states()
+        if vertex is not None:
+            return False, (
+                f"{name}: states at vertex {''.join(map(str, vertex))} differ "
+                "from the resolution enumeration"
+            )
         failure = cx.check_d_squared()
         if failure is not None:
             return False, f"{name}: d^2 != 0 at {failure}"
@@ -397,15 +414,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt", choices=("text", "json"))
         return p
 
-    def crossing_bound(p):
+    def size_bounds(p):
         p.add_argument("--max-crossings", type=int)
+        p.add_argument("--max-chain-dim", type=int, help="bound on the chain dimension")
         return p
 
-    crossing_bound(command("homology", "three-way homology check"))
+    size_bounds(command("homology", "three-way homology check"))
     p = command("states", "admissible states of one resolution")
     p.add_argument("--resolution", required=True, help="bit string, one per crossing")
     p.add_argument("--list", action="store_true", default=False, help="list the states")
-    p = crossing_bound(command("complex", "chain dimensions and matrices"))
+    p = size_bounds(command("complex", "chain dimensions and matrices"))
     p.add_argument(
         "--matrices", action="store_true", default=False, help="dump sparse differentials"
     )

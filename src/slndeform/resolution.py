@@ -22,16 +22,32 @@ An arc coloring is the label of every arc and free loop, in ``slot`` order.
 The differential keeps it, so it keys the blocks of the complex.
 ``coloring`` reads it off a state and ``state_of`` is the only way back:
 the state of this resolution carrying a coloring, if there is one.
+``resolve`` lays that way back out once per vertex: ``reads`` gives each
+thin edge the first coloring position on it, and ``ties`` pairs every
+other position with the first one of its thin edge, so ``state_of`` is one
+comparison of two tuples and one tuple read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 from .diagram import Crossing, LinkDiagram
 from .errors import InternalCheckError
 
-__all__ = ["ThickEdge", "Resolution", "resolve", "p_parity", "degree"]
+__all__ = ["ThickEdge", "Resolution", "resolve", "reader", "p_parity", "degree"]
+
+
+def reader(positions):
+    """The function taking a sequence to the tuple of its items at ``positions``."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (p,) = positions
+        return lambda seq: (seq[p],)
+    return lambda seq: ()
 
 
 @dataclass(frozen=True)
@@ -48,6 +64,12 @@ class Resolution:
     thick_edges: tuple[ThickEdge, ...]
     circles: tuple[int, ...]
     slot: dict[int, int]  # arc or loop id -> index of its label in a state
+    reads: tuple[int, ...]  # thin-edge index -> its first position in a coloring
+    ties: tuple[tuple[int, ...], tuple[int, ...]]  # positions that must agree, pairwise
+
+    @cached_property
+    def _readers(self):
+        return reader(self.reads), reader(self.ties[0]), reader(self.ties[1])
 
     def thin_of(self, arc: int) -> int:
         return self.thin_edges[self.slot[arc]]
@@ -68,13 +90,10 @@ class Resolution:
 
     def state_of(self, coloring):
         """The state carrying ``coloring``; None if a thin edge gets two labels."""
-        out = [None] * len(self.thin_edges)
-        for i, v in zip(self.slot.values(), coloring):
-            if out[i] is None:
-                out[i] = v
-            elif out[i] != v:
-                return None
-        return tuple(out)
+        read, first, other = self._readers
+        if first(coloring) != other(coloring):
+            return None
+        return read(coloring)
 
     def to_json(self) -> dict:
         return {
@@ -156,13 +175,22 @@ def resolve(d: LinkDiagram, choice) -> Resolution:
             )
 
     index = {t: i for i, t in enumerate(thin_edges)}
+    slot = {a: index[t] for a, t in arc_to_thin.items()}
+    reads: dict[int, int] = {}  # thin-edge index -> its first coloring position
+    ties = []
+    for p, i in enumerate(slot.values()):
+        first = reads.setdefault(i, p)
+        if first != p:
+            ties.append((first, p))
     return Resolution(
         diagram=d,
         choice=choice,
         thin_edges=thin_edges,
         thick_edges=tuple(thick_edges),
         circles=tuple(circles),
-        slot={a: index[t] for a, t in arc_to_thin.items()},
+        slot=slot,
+        reads=tuple(reads[i] for i in range(len(thin_edges))),
+        ties=(tuple(a for a, _ in ties), tuple(b for _, b in ties)),
     )
 
 

@@ -1,12 +1,14 @@
 """Differential assembly: local types, matched pairs, d^2 = 0, rescaling."""
 
+import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_homology import TORUS_2_7, eliminated_dims
-from test_states import braid_diagrams
+from test_homology import TORUS_2_7, eliminated_dims, split_union
+from test_states import _braid_closure, _torus_pd, braid_diagrams
 
 from slndeform import chain
 from slndeform.chain import (
@@ -19,11 +21,11 @@ from slndeform.chain import (
     rescale_with,
 )
 from slndeform.cyclotomic import CycloNumber
-from slndeform.diagram import parse_pd
+from slndeform.diagram import parse, parse_pd, parse_signed, render_signed
 from slndeform.errors import InternalCheckError, SizeBoundError
 from slndeform.fixtures import fixture, fixture_names
 from slndeform.homology import compute_homology, cross_validate
-from slndeform.resolution import Resolution, resolve
+from slndeform.resolution import resolve
 from slndeform.states import enumerate_admissible
 
 
@@ -87,55 +89,141 @@ def test_missing_partner_is_detected_and_names_the_crossing():
         list(_partners(r0, r1, states0, d.crossings[0], 0, set()))
 
 
-def test_missing_cube_partner_is_detected_and_names_the_crossing(monkeypatch):
-    # drop, at vertex (1, 0) of the Hopf cube, one type 1 state at crossing 0:
-    # its type 3 partner at (0, 0) must find no target
-    d, n = fixture("hopf_pos"), 2
-    c = d.crossings[0]
-    r1 = resolve(d, (1, 0))
-    dropped = next(
-        s for s in enumerate_admissible(r1, n)
-        if classify_local(r1.local_values(s, c), 1) is LocalType.TYPE1
+def _assert_states_are_the_resolutions(cx):
+    """At every vertex the complex's states, in basis order, are the oracle's.
+
+    The oracle is ``enumerate_admissible`` on a fresh ``resolve``: the
+    per-vertex state search that ``build_complex`` no longer runs.
+    """
+    d, found = cx.diagram, {}
+    for k in cx.degrees:
+        for el in cx.basis[k]:
+            found.setdefault(el.vertex, []).append(el.state)
+    for v in product((0, 1), repeat=len(d.crossings)):
+        assert found.pop(v, []) == list(enumerate_admissible(resolve(d, v), cx.n)), v
+    assert not found
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_complex_states_are_the_admissible_states_at_every_vertex(n):
+    for name in fixture_names():
+        cx = build_complex(fixture(name), n)
+        _assert_states_are_the_resolutions(cx)
+        assert cx.check_states() is None, name
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    braid_diagrams(),
+    braid_diagrams(max_letters=2),
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from((2, 3, 4)),
+)
+def test_complex_states_are_the_admissible_states_on_generated_diagrams(d1, d2, loops, n):
+    # split unions of two closed braids, with up to two more free loops; a
+    # union past 20,000 chain elements is skipped, which keeps the budget
+    d = parse_signed(" ".join([render_signed(split_union(d1, d2))] + ["U"] * loops))
+    try:
+        cx = build_complex(d, n, max_chain_dim=20_000)
+    except SizeBoundError:
+        assume(False)
+    _assert_states_are_the_resolutions(cx)
+
+
+def _inject(monkeypatch, fault):
+    """Have ``build_complex`` assemble from ``fault`` of the walk's colorings."""
+    walk = chain._arc_colorings
+    monkeypatch.setattr(
+        chain, "_arc_colorings", lambda d, n, bound: fault(walk(d, n, bound))
     )
-    source = resolve(d, (0, 0)).state_of(r1.coloring(dropped))
-
-    def drop_one(r, n):
-        states = enumerate_admissible(r, n)
-        if r.choice != (1, 0):
-            return states
-        return tuple(s for s in states if s != dropped)
-
-    monkeypatch.setattr(chain, "enumerate_admissible", drop_one)
-    with pytest.raises(InternalCheckError, match=f"crossing {c.id}") as info:
-        build_complex(d, n)
-    assert str(source) in str(info.value)
 
 
-def test_incomplete_cube_is_rejected(monkeypatch):
-    # drop the vertex-(0, 0) member of one Hopf block: it is the source at
-    # both free crossings, so no target lookup misses it, and without the
-    # size check the complex builds, d o d vanishes and the homology is wrong
-    d, n = fixture("hopf_pos"), 2
-    dropped = (0, 1)
+def test_dropped_cube_member_fails_the_oracle(monkeypatch):
+    # report the free crossing of a one-crossing cube as forced 0: the member
+    # at its bit 1 is lost, and the complex still builds with d o d = 0
+    def drop_member(colorings):
+        i = next(i for i, (_, free, _) in enumerate(colorings) if free.bit_count() == 1)
+        labels, _, ones = colorings[i]
+        return colorings[:i] + [(labels, 0, ones)] + colorings[i + 1:]
 
-    def drop_one(r, n):
-        states = enumerate_admissible(r, n)
-        if r.choice != (0, 0):
-            return states
-        assert dropped in states
-        return tuple(s for s in states if s != dropped)
-
-    monkeypatch.setattr(chain, "enumerate_admissible", drop_one)
-    with pytest.raises(InternalCheckError, match="3 members, not 2\\^2"):
-        build_complex(d, n)
+    _inject(monkeypatch, drop_member)
+    cx = build_complex(fixture("trefoil_right"), 3)
+    assert cx.check_d_squared() is None
+    with pytest.raises(AssertionError):
+        _assert_states_are_the_resolutions(cx)
+    assert cx.check_states() is not None
 
 
-def test_two_states_of_one_coloring_at_a_vertex_are_rejected(monkeypatch):
-    # were two members filed under one coloring at one vertex, one would
-    # silently replace the other in its cube
-    monkeypatch.setattr(Resolution, "coloring", lambda self, state: (0,))
-    with pytest.raises(InternalCheckError, match="arc coloring"):
+def test_dropped_coloring_fails_the_oracle(monkeypatch):
+    # a whole cube goes missing; every remaining block is intact
+    def drop_coloring(colorings):
+        i = next(i for i, (_, free, _) in enumerate(colorings) if free)
+        return colorings[:i] + colorings[i + 1:]
+
+    _inject(monkeypatch, drop_coloring)
+    cx = build_complex(fixture("hopf_pos"), 2)
+    assert cx.check_d_squared() is None
+    with pytest.raises(AssertionError):
+        _assert_states_are_the_resolutions(cx)
+    assert cx.check_states() is not None
+
+
+def test_repeated_coloring_is_rejected(monkeypatch):
+    # each member of the repeated cube would reach its vertex twice
+    _inject(monkeypatch, lambda colorings: colorings + colorings[-1:])
+    with pytest.raises(InternalCheckError, match="receives state .* twice"):
         build_complex(fixture("hopf_pos"), 2)
+
+
+def _sigma1_power(k):
+    """The closure of sigma_1^k on two strands: T(2, k) for odd k."""
+    crossings, circles = _braid_closure([1] * k, 2)
+    return parse_signed(
+        " ".join(f"C[{s};" + ",".join(map(str, arcs)) + "]" for s, arcs in crossings)
+        + " U" * circles
+    )
+
+
+def test_chain_dimension_gate_fires_before_any_vertex_is_resolved(monkeypatch):
+    # T(2,11) at n = 4 has 1,062,892 chain elements, over twice the default bound
+    d = _sigma1_power(11)
+
+    def no_resolve(*args):
+        raise AssertionError("a vertex was resolved")
+
+    monkeypatch.setattr(chain, "resolve", no_resolve)
+    began = time.perf_counter()
+    with pytest.raises(SizeBoundError, match="chain dimension exceeds the bound 500000"):
+        build_complex(d, 4)
+    with pytest.raises(SizeBoundError, match="chain dimension"):
+        cross_validate(d, 4, max_chain_dim=100_000)
+    assert time.perf_counter() - began < 1.0
+
+
+@pytest.mark.parametrize(
+    "code, n, total",
+    [
+        # the totals that test_states.test_torus_cube_state_counts pins
+        pytest.param(_torus_pd(7), 2, 2190, id="T(2,7)-2"),
+        pytest.param(_torus_pd(7), 3, 6567, id="T(2,7)-3"),
+        pytest.param(_torus_pd(7), 4, 13132, id="T(2,7)-4"),
+        pytest.param(_torus_pd(9), 4, 118108, id="T(2,9)-4"),
+        # free loops multiply by n each (counted with enumerate_admissible)
+        pytest.param("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3] U U", 4, 2752, id="trefoil+U^2-4"),
+        pytest.param("C[+;1,2,3,4] C[+;4,3,2,1] U U U", 3, 891, id="hopf+U^3-3"),
+    ],
+)
+def test_chain_dimension_gate_is_exact(code, n, total):
+    d = parse(code)
+    colorings = chain._arc_colorings(d, n, total)
+    members = sum(1 << free.bit_count() for _, free, _ in colorings)
+    assert n ** d.free_loops * members == total
+    with pytest.raises(SizeBoundError):
+        chain._arc_colorings(d, n, total - 1)
+    if total < 20_000:
+        assert sum(build_complex(d, n, max_chain_dim=total).dims().values()) == total
+        with pytest.raises(SizeBoundError):
+            build_complex(d, n, max_chain_dim=total - 1)
 
 
 def _assert_entries_are_matched_pairs(cx):

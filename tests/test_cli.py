@@ -6,7 +6,7 @@ from dataclasses import replace
 import jsonschema
 import pytest
 
-from slndeform import cli, homology
+from slndeform import chain, cli, homology
 from slndeform.cli import main
 from slndeform.cyclotomic import CycloNumber
 
@@ -253,6 +253,44 @@ def test_size_bound_exit_code(capsys):
     code, _, err = _run(capsys, "homology", "figure_eight", "--max-crossings", "2")
     assert code == 3
     assert "size bound" in err
+
+
+@pytest.mark.parametrize("command", ["homology", "complex"])
+def test_chain_dimension_bound_exit_code(capsys, command):
+    # trefoil_right at n = 3 has 87 chain elements
+    code, out, err = _run(
+        capsys, command, "trefoil_right", "--n", "3", "--max-chain-dim", "86"
+    )
+    assert code == 3 and out == ""
+    assert "chain dimension exceeds the bound 86" in err
+    code, _, _ = _run(capsys, command, "trefoil_right", "--n", "3", "--max-chain-dim", "87")
+    assert code == 0
+    code, _, err = _run(capsys, command, "trefoil_right", "--max-chain-dim", "0")
+    assert code == 2 and "size bounds must be positive" in err
+
+
+def test_verify_rejects_max_chain_dim(capsys):
+    # verify builds only its fixed small diagrams
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max-chain-dim", "10"])
+    assert exc.value.code == 2
+
+
+def test_verify_fails_on_a_dropped_coloring(capsys, monkeypatch):
+    # the walk loses the first cube of each diagram; verify compares each
+    # fixture complex with the resolution-based enumeration, vertex by vertex
+    walk = chain._arc_colorings
+
+    def drop_first_cube(d, n, bound):
+        colorings = walk(d, n, bound)
+        i = next((i for i, (_, free, _) in enumerate(colorings) if free), None)
+        return colorings if i is None else colorings[:i] + colorings[i + 1:]
+
+    monkeypatch.setattr(chain, "_arc_colorings", drop_first_cube)
+    code, out, _ = _run(capsys, "verify", "--n", "2")
+    assert code == 1
+    assert "FAIL  complex integrity: unknot_kink_pos: states at vertex" in out
+    assert "differ from the resolution enumeration" in out
 
 
 def test_states_counts(capsys):

@@ -3,6 +3,9 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_states import braid_diagrams
 
 from slndeform.diagram import Crossing, LinkDiagram, parse_pd
 from slndeform.errors import InternalCheckError
@@ -179,3 +182,32 @@ def test_state_of_rejects_two_labels_on_one_thin_edge():
     broken[keys.index(a)] = 1
     assert r.state_of(coloring) == (0,) * len(r.thin_edges)
     assert r.state_of(broken) is None
+
+
+def _state_of_by_loop(r, coloring):
+    """``state_of`` as one pass over the slots, the way it was written first."""
+    out = [None] * len(r.thin_edges)
+    for i, v in zip(r.slot.values(), coloring):
+        if out[i] is None:
+            out[i] = v
+        elif out[i] != v:
+            return None
+    return tuple(out)
+
+
+KINDS = ("consistent", "one label changed", "random")
+
+
+@settings(max_examples=200, derandomize=True)
+@given(braid_diagrams(), st.sampled_from(KINDS), st.data())
+def test_state_of_matches_a_pass_over_the_slots(d, kind, data):
+    labels = st.integers(min_value=0, max_value=3)
+    r = resolve(d, data.draw(st.tuples(*[st.integers(0, 1)] * len(d.crossings))))
+    if kind == "random":  # nearly always two labels on some thin edge
+        coloring = data.draw(st.lists(labels, min_size=len(r.slot), max_size=len(r.slot)))
+    else:
+        coloring = list(r.coloring(data.draw(st.tuples(*[labels] * len(r.thin_edges)))))
+    if kind == "one label changed":
+        coloring[data.draw(st.integers(0, len(coloring) - 1))] = data.draw(labels)
+    assert r.state_of(coloring) == _state_of_by_loop(r, coloring)
+    assert r.state_of(tuple(coloring)) == _state_of_by_loop(r, coloring)

@@ -119,11 +119,11 @@ def _braid_closure(word, strands):
 
 
 @st.composite
-def braid_diagrams(draw):
-    """Closed braids on at most 4 strands with at most 6 letters, arcs relabelled."""
+def braid_diagrams(draw, max_letters=6):
+    """Closed braids on at most 4 strands and ``max_letters`` letters, arcs relabelled."""
     strands = draw(st.integers(min_value=1, max_value=4))
     letters = [g for i in range(1, strands) for g in (i, -i)]
-    word = draw(st.lists(st.sampled_from(letters), max_size=6)) if letters else []
+    word = draw(st.lists(st.sampled_from(letters), max_size=max_letters)) if letters else []
     crossings, circles = _braid_closure(word, strands)
     labels = sorted({a for _, arcs in crossings for a in arcs})
     relabel = dict(zip(labels, draw(st.permutations(labels))))
