@@ -40,14 +40,14 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, replace
-from itertools import groupby, islice, product
-from operator import eq, itemgetter
+from itertools import groupby, islice, product, repeat, starmap
+from operator import add, eq, itemgetter
 from typing import NamedTuple
 
 from .cyclotomic import CycloField, CycloNumber
 from .diagram import Crossing, LinkDiagram
 from .errors import InternalCheckError, SizeBoundError
-from .resolution import Resolution, degree as vertex_degree, reader, resolve
+from .resolution import Resolution, degree as vertex_degree, reader, records, resolve
 from .states import enumerate_admissible
 
 __all__ = [
@@ -427,8 +427,9 @@ def build_complex(
             place[numbers[i]] = p
         column = basis.setdefault(kv, [])
         start[m], size[m] = len(column), len(ordered)
-        for prefix in loops:
-            column.extend([ChainBasisElement(v, prefix + s, kv) for s in ordered])
+        column.extend(records(  # one run of the vertex's states per loop labelling
+            ChainBasisElement, repeat(v), starmap(add, product(loops, ordered)), repeat(kv)
+        ))
         states[m] = members[m] = None
 
     # cubes with free crossings by their first member: vertex, loop labels, state

@@ -13,10 +13,13 @@
   ceiling rests on d o d = 0, which ``check_d_squared`` checks (run by
   ``cross_validate`` and by ``slndeform verify``).  The generators are the
   one-element blocks: the basis elements that no nonzero entry of any
-  differential touches, marked None in ``block_of``.
-  Each generator's coloring is read through its vertex's slot layout
-  (``_psi_layout``, built once per vertex), which also checks that the
-  state is constant on every component.
+  differential touches, marked None in ``block_of``.  The scan takes them
+  in bulk, one vertex run at a time: ``compress`` picks the untouched
+  elements, two itemgetters check once per run that each state is
+  constant on every component, and one itemgetter reads each coloring
+  (``_psi_readers``).  A run that fails the check is read again through
+  ``_survivor_psi``, which names the first bad state.  The colorings are
+  sorted once per degree.
 * ``closed_form``: the combinatorial answer -- one generator per coloring
   of the components by roots of unity, in degree given by the linking
   numbers of the preimage sublinks, n^l generators in total.
@@ -25,14 +28,23 @@
   the degree off that single resolution; no linear algebra at all.  Each
   crossing's pair of strand components and each arc's component are looked
   up once per diagram, and each distinct resolution and its degree once
-  per choice; the per-coloring loop indexes ``psi`` through them and
+  per choice; the per-coloring loop indexes the coloring through them and
   still checks each induced state.
+
+Free loops are a product factor in both of the last two.  A loop links
+nothing and meets no crossing, so only the colorings of the drawn
+components are computed (and, for the survivors, checked) one by one;
+``_with_loops`` extends each by every labelling of the loops, which come
+last in psi, and the list comes out sorted.  The survivors check that no
+resolution reads a loop at a tie or a crossing (``_loops_apart``), which
+is what lets one check stand for every labelling of the loops.
 
 ``cross_validate`` runs all three and insists on identical degree->dimension
 tables and generator lists plus Euler-characteristic agreement with the
 chain level.  A generator is a ``GeneratorDescriptor``, a named tuple
-(degree, psi): the lists of n^l of them sort and compare as plain tuples.
-None of the three reads the deformation scale beta (see ``chain``).
+(degree, psi): the lists of n^l of them sort and compare as plain tuples,
+and are built in bulk by ``resolution.records``.  None of the three reads
+the deformation scale beta (see ``chain``).
 """
 
 from __future__ import annotations
@@ -40,7 +52,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import partial
+from itertools import compress, groupby, product, repeat
+from operator import add, is_, itemgetter, ne
 from typing import NamedTuple
 
 from .chain import (
@@ -53,7 +67,7 @@ from .chain import (
 )
 from .diagram import LinkDiagram, linking_matrix
 from .errors import InternalCheckError
-from .resolution import Resolution, degree as vertex_degree, resolve
+from .resolution import Resolution, degree as vertex_degree, reader, records, resolve
 
 __all__ = [
     "GeneratorDescriptor",
@@ -196,10 +210,23 @@ class HomologyResult:
         }
 
 
-def _result(pairs) -> HomologyResult:
-    gens = tuple(sorted(pairs))
-    dims = Counter(g.degree for g in gens)
-    return HomologyResult(dims=dict(sorted(dims.items())), generators=gens)
+def _with_loops(heads, n: int, loops: int) -> HomologyResult:
+    """The generators of (degree, coloring of the drawn components) pairs.
+
+    A free loop links nothing and meets no crossing, so each pair stands for
+    n^loops generators in its degree, one per labelling of the loops (the
+    last components).  The pairs are sorted once and each is extended by
+    the loop labellings in lex order, so the generators come out sorted.
+    """
+    heads = sorted(heads)
+    tails = list(product(range(n), repeat=loops))
+    gens = []
+    for degree, head in heads:
+        gens.extend(records(GeneratorDescriptor, repeat(degree), map(add, repeat(head), tails)))
+    dims = Counter(degree for degree, _ in heads)
+    return HomologyResult(
+        dims={k: dims[k] * len(tails) for k in sorted(dims)}, generators=tuple(gens)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -207,18 +234,22 @@ def _result(pairs) -> HomologyResult:
 # ----------------------------------------------------------------------
 
 def closed_form(d: LinkDiagram, n: int) -> HomologyResult:
-    """One generator per map {components} -> roots; n^l in total."""
+    """One generator per map {components} -> roots; n^l in total.
+
+    A free loop's ``linking_matrix`` row is zero, so only the colorings of
+    the drawn components get a degree; ``_with_loops`` labels the loops.
+    """
     lk = linking_matrix(d)
-    l = d.component_count
+    l, drawn = d.component_count, len(d.components)
     # a coloring's degree sums 2*lk over the linked pairs it colors apart
     linked = [(i, j) for i in range(l) for j in range(i + 1, l) if lk[i][j]]
-    gens = [
-        GeneratorDescriptor(
-            sum(2 * lk[i][j] for i, j in linked if psi[i] != psi[j]), psi
-        )
-        for psi in product(range(n), repeat=l)
+    if any(j >= drawn for _, j in linked):
+        raise InternalCheckError(f"a free loop has linking numbers: {lk}")
+    heads = [
+        (sum(2 * lk[i][j] for i, j in linked if head[i] != head[j]), head)
+        for head in product(range(n), repeat=drawn)
     ]
-    return _result(gens)
+    return _with_loops(heads, n, d.free_loops)
 
 
 # ----------------------------------------------------------------------
@@ -251,6 +282,19 @@ def _survivor_psi(layout: tuple[list[int], list[tuple]], state) -> tuple[int, ..
                 f"survivor state {state} is not constant on component {comp}"
             )
     return tuple([state[i] for i in reads])
+
+
+def _psi_readers(r: Resolution):
+    """``_psi_layout(r)`` with its reads and the two sides of its ties as getters.
+
+    Returns (layout, psi reader, (first sides, other sides) or None when
+    no tie is to be checked).
+    """
+    layout = reads, ties = _psi_layout(r)
+    sides = None
+    if ties:
+        sides = reader([a for a, _, _ in ties]), reader([b for _, b, _ in ties])
+    return layout, reader(reads), sides
 
 
 def _non_survivor(r: Resolution, state):
@@ -302,16 +346,19 @@ def compute_homology(cx: DeformedComplex) -> HomologyResult:
             raise InternalCheckError(f"negative homology dimension in degree {k}")
         if dim:
             dims[k] = dim
-    layouts = {}  # vertex -> its _psi_layout, built on first use
+    vertex_field, state_field = itemgetter(0), itemgetter(1)
     gens = []
     for k in cx.degrees:
-        for (vertex, state, _), b in zip(cx.basis[k], cx.block_of[k]):
-            if b is None:
-                layout = layouts.get(vertex)
-                if layout is None:
-                    layout = layouts[vertex] = _psi_layout(cx.resolutions[vertex])
-                gens.append(GeneratorDescriptor(k, _survivor_psi(layout, state)))
-    gens.sort()
+        untouched = compress(cx.basis[k], map(is_, cx.block_of[k], repeat(None)))
+        psis = []
+        for vertex, run in groupby(untouched, key=vertex_field):  # one run per vertex
+            layout, read, sides = _psi_readers(cx.resolutions[vertex])
+            states = list(map(state_field, run))
+            if sides and any(map(ne, map(sides[0], states), map(sides[1], states))):
+                read = partial(_survivor_psi, layout)  # raises at the first bad state
+            psis.extend(map(read, states))
+        psis.sort()
+        gens.extend(records(GeneratorDescriptor, repeat(k), psis))
     return HomologyResult(dims=dims, generators=tuple(gens))
 
 
@@ -327,37 +374,72 @@ def survivors_combinatorial(d: LinkDiagram, n: int) -> HomologyResult:
     state is checked to be well defined and of the surviving types, which
     would fail loudly if the local type rules were reconstructed wrongly.
     Each distinct resolution and its degree are built once per call.
+
+    Free loops meet no crossing, so only the colorings of the drawn
+    components are resolved and checked, each once, with the loops at
+    their first labelling.  That check speaks for every labelling of the
+    loops because no tie and no crossing slot of a resolution reads a loop
+    (``_loops_apart``, checked once per resolution); ``_with_loops`` then
+    labels the loops.
     """
-    l = d.component_count
+    drawn = len(d.components)
     # once per diagram: each crossing's (under, over) components, and the
-    # component carrying each arc, then each free loop, in ``slot`` order
+    # component carrying each arc, in ``slot`` order
     strands = [
         (d.component_of(c.in_under), d.component_of(c.in_over)) for c in d.crossings
     ]
-    carrier = [d.component_of(a) for a in d.arcs] + list(range(len(d.components), l))
+    carrier = [d.component_of(a) for a in d.arcs]
+    first_loops = (0,) * d.free_loops  # the loops' first labelling
     vertices: dict[tuple, tuple[Resolution, int]] = {}  # choice -> (r, its degree)
-    gens = []
-    for psi in product(range(n), repeat=l):
-        choice = tuple([0 if psi[i] == psi[j] else 1 for i, j in strands])
+    heads = []
+    for head in product(range(n), repeat=drawn):
+        choice = tuple([0 if head[i] == head[j] else 1 for i, j in strands])
         vertex = vertices.get(choice)
         if vertex is None:
-            vertex = vertices[choice] = (resolve(d, choice), vertex_degree(d, choice))
+            r = resolve(d, choice)
+            _loops_apart(r)
+            vertex = vertices[choice] = (r, vertex_degree(d, choice))
         r, degree = vertex
-        state = r.state_of([psi[i] for i in carrier])  # the coloring psi induces
+        state = r.state_of([head[i] for i in carrier] + list(first_loops))
         if state is None:
             raise InternalCheckError(
-                f"coloring {psi} induces an ill-defined state at choice {choice}"
+                f"coloring {head + first_loops} induces an ill-defined state "
+                f"at choice {choice}"
             )
 
         failure = _non_survivor(r, state)
         if failure is not None:
             ci, kind, want = failure
             raise InternalCheckError(
-                f"induced state of coloring {psi} has type {kind} at "
+                f"induced state of coloring {head + first_loops} has type {kind} at "
                 f"crossing {ci}, expected {want}"
             )
-        gens.append(GeneratorDescriptor(degree, psi))
-    return _result(gens)
+        heads.append((degree, head))
+    return _with_loops(heads, n, d.free_loops)
+
+
+def _loops_apart(r: Resolution) -> None:
+    """Raise InternalCheckError if a tie or a crossing slot of ``r`` reads a loop.
+
+    A free loop's label then moves only its own state position, so one
+    check of a coloring of the drawn components holds for every labelling
+    of the loops.
+    """
+    d = r.diagram
+    loop_positions = range(len(d.arcs), len(d.arcs) + d.free_loops)  # in a coloring
+    loop_slots = {r.slot[-(i + 1)] for i in range(d.free_loops)}  # in a state
+    tied = set(r.ties[0]).union(r.ties[1]).intersection(loop_positions)
+    crossed = [
+        c.id for c in d.crossings
+        if loop_slots.intersection(
+            r.slot[a] for a in (c.out_over, c.out_under, c.in_under, c.in_over)
+        )
+    ]
+    if tied or crossed:
+        raise InternalCheckError(
+            f"resolution {r.choice} reads a free loop at coloring positions "
+            f"{sorted(tied)} or at crossings {crossed}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -390,12 +472,13 @@ def cross_validate(
     computed = compute_homology(cx)
     closed = closed_form(d, n)
     survivors = survivors_combinatorial(d, n)
+    chain_euler = cx.euler_characteristic()
     report = CrossValidation(
         n=n,
         computed=computed,
         closed=closed,
         survivors=survivors,
-        chain_euler=cx.euler_characteristic(),
+        chain_euler=chain_euler,
     )
     if computed.dims != closed.dims:
         report.messages.append(
@@ -409,10 +492,11 @@ def cross_validate(
         report.messages.append("survivor generator lists disagree")
     if closed.generators != survivors.generators:
         report.messages.append("closed-form and survivor generator lists disagree")
-    if cx.euler_characteristic() != computed.euler_characteristic():
+    homology_euler = computed.euler_characteristic()
+    if chain_euler != homology_euler:
         report.messages.append(
-            f"chain Euler characteristic {cx.euler_characteristic()} != "
-            f"homology Euler characteristic {computed.euler_characteristic()}"
+            f"chain Euler characteristic {chain_euler} != "
+            f"homology Euler characteristic {homology_euler}"
         )
     failure = cx.check_d_squared()
     if failure is not None:

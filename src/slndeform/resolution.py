@@ -32,12 +32,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from operator import itemgetter
 
 from .diagram import Crossing, LinkDiagram
 from .errors import InternalCheckError
 
-__all__ = ["ThickEdge", "Resolution", "resolve", "reader", "p_parity", "degree"]
+__all__ = [
+    "ThickEdge", "Resolution", "resolve", "reader", "records", "p_parity", "degree",
+]
 
 
 def reader(positions):
@@ -48,6 +51,16 @@ def reader(positions):
         (p,) = positions
         return lambda seq: (seq[p],)
     return lambda seq: ()
+
+
+def records(cls, *columns):
+    """An iterator of ``cls(*row)`` over the rows of ``columns``, zipped.
+
+    ``cls`` is a named tuple class.  Each record is made by ``tuple.__new__``,
+    as the class's own ``__new__`` makes it, but without a Python call per
+    record.
+    """
+    return map(tuple.__new__, repeat(cls), zip(*columns))
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,7 @@ def enumerate_admissible(r: Resolution, n: int) -> tuple[State, ...]:
 
     # cls[p] is the smallest position in p's class
     choose(0, list(range(len(r.thin_edges))))
+    del choose  # it refers to itself: a cycle that would keep ``out`` alive
     out.sort()
     return tuple(out)
 

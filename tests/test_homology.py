@@ -3,6 +3,7 @@
 import re
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,14 +11,14 @@ from hypothesis import assume, given, settings, strategies as st
 from slndeform.chain import ChainBasisElement, LocalType, build_complex, rescale_basis
 from slndeform import homology
 from slndeform.cyclotomic import CycloField
-from slndeform.diagram import parse, parse_pd, parse_signed, render_signed
+from slndeform.diagram import linking_matrix, parse, parse_pd, parse_signed, render_signed
 from slndeform.errors import InternalCheckError
 from slndeform.fixtures import FIXTURES, fixture, fixture_names
 from slndeform.homology import (
     GeneratorDescriptor,
+    HomologyResult,
     _non_survivor,
     _psi_layout,
-    _result,
     _survivor_psi,
     closed_form,
     compute_homology,
@@ -25,7 +26,7 @@ from slndeform.homology import (
     matrix_rank,
     survivors_combinatorial,
 )
-from slndeform.resolution import Resolution
+from slndeform.resolution import Resolution, degree as vertex_degree, resolve
 from test_states import braid_diagrams
 
 TORUS_2_3 = FIXTURES["trefoil_right"]
@@ -251,7 +252,7 @@ def test_closed_form_generators_must_match_the_survivors(monkeypatch):
         swap = {(0, 0): (0, 1), (0, 1): (0, 0)}
         degree = {g.psi: g.degree for g in real(d, n).generators}
         gens = [GeneratorDescriptor(degree[swap.get(p, p)], p) for p in degree]
-        return _result(gens)
+        return reference_result(gens)
 
     monkeypatch.setattr(homology, "closed_form", swapped)
     rep = cross_validate(fixture("hopf_pos"), 2)
@@ -546,6 +547,164 @@ def test_survivors_reject_an_induced_state_of_the_wrong_type(monkeypatch):
     )
     with pytest.raises(InternalCheckError, match="has type .* at crossing 0, expected"):
         survivors_combinatorial(fixture("hopf_pos"), 2)
+
+
+# a Hopf clasp beside three free loops: the loops lead every state and
+# trail every coloring of the components
+HOPF_U3 = "C[+;1,2,3,4] C[+;4,3,2,1] U U U"
+
+
+def test_generator_scan_with_loops_rejects_a_state_not_constant_on_a_component():
+    cx = build_complex(parse(HOPF_U3), 2)
+    # an untouched element whose vertex ties two thin edges of one component
+    k, i, (first, _, comp) = next(
+        (k, i, ties[0])
+        for k in cx.degrees
+        for i, (el, b) in enumerate(zip(cx.basis[k], cx.block_of[k]))
+        if b is None and (ties := _psi_layout(cx.resolutions[el.vertex])[1])
+    )
+    el = cx.basis[k][i]
+    state = list(el.state)
+    state[first] = 1 - state[first]  # an arc's thin edge, not a loop
+    basis = dict(cx.basis)
+    basis[k] = basis[k][:i] + (el._replace(state=tuple(state)),) + basis[k][i + 1:]
+    message = re.escape(f"is not constant on component {comp}")
+    with pytest.raises(InternalCheckError, match=message):
+        compute_homology(replace(cx, basis=basis))
+
+
+def test_survivors_with_loops_reject_an_ill_defined_induced_state(monkeypatch):
+    monkeypatch.setattr(Resolution, "state_of", lambda self, coloring: None)
+    with pytest.raises(
+        InternalCheckError, match=re.escape("coloring (0, 0, 0, 0, 0) induces an ill-defined")
+    ):
+        survivors_combinatorial(parse(HOPF_U3), 2)
+
+
+def test_survivors_with_loops_reject_an_induced_state_of_the_wrong_type(monkeypatch):
+    monkeypatch.setattr(
+        homology, "_non_survivor", lambda r, state: (0, LocalType.TYPE1, LocalType.TYPE2)
+    )
+    with pytest.raises(InternalCheckError, match="has type .* at crossing 0, expected"):
+        survivors_combinatorial(parse(HOPF_U3), 2)
+
+
+def _tie_a_loop(r):
+    """``r`` with the first arc's coloring position tied to the first loop's."""
+    ties = (r.ties[0] + (0,), r.ties[1] + (len(r.diagram.arcs),))
+    return replace(r, ties=ties)
+
+
+def _cross_a_loop(r):
+    """``r`` with the first crossing's out-over arc read from the first loop's slot."""
+    slot = dict(r.slot)
+    slot[r.diagram.crossings[0].out_over] = r.slot[-1]
+    return replace(r, slot=slot)
+
+
+@pytest.mark.parametrize("fault", [_tie_a_loop, _cross_a_loop])
+def test_survivors_reject_a_resolution_that_reads_a_loop(monkeypatch, fault):
+    real = homology.resolve
+    monkeypatch.setattr(homology, "resolve", lambda d, choice: fault(real(d, choice)))
+    with pytest.raises(InternalCheckError, match="reads a free loop"):
+        survivors_combinatorial(parse(HOPF_U3), 2)
+
+
+# ----------------------------------------------------------------------
+# The per-coloring loops that the loop factor and the bulk scan replaced,
+# kept as references: one Python iteration per coloring or basis element
+# ----------------------------------------------------------------------
+
+def reference_result(pairs):
+    gens = tuple(sorted(pairs))
+    dims = Counter(g.degree for g in gens)
+    return HomologyResult(dims=dict(sorted(dims.items())), generators=gens)
+
+
+def reference_closed_form(d, n):
+    lk = linking_matrix(d)
+    l = d.component_count
+    linked = [(i, j) for i in range(l) for j in range(i + 1, l) if lk[i][j]]
+    return reference_result(
+        GeneratorDescriptor(sum(2 * lk[i][j] for i, j in linked if psi[i] != psi[j]), psi)
+        for psi in product(range(n), repeat=l)
+    )
+
+
+def reference_survivors(d, n):
+    l = d.component_count
+    strands = [
+        (d.component_of(c.in_under), d.component_of(c.in_over)) for c in d.crossings
+    ]
+    carrier = [d.component_of(a) for a in d.arcs] + list(range(len(d.components), l))
+    vertices = {}
+    gens = []
+    for psi in product(range(n), repeat=l):
+        choice = tuple([0 if psi[i] == psi[j] else 1 for i, j in strands])
+        vertex = vertices.get(choice)
+        if vertex is None:
+            vertex = vertices[choice] = (resolve(d, choice), vertex_degree(d, choice))
+        r, degree = vertex
+        state = r.state_of([psi[i] for i in carrier])
+        assert state is not None and _non_survivor(r, state) is None, (psi, choice)
+        gens.append(GeneratorDescriptor(degree, psi))
+    return reference_result(gens)
+
+
+def reference_generator_scan(cx):
+    layouts = {}
+    gens = []
+    for k in cx.degrees:
+        for (vertex, state, _), b in zip(cx.basis[k], cx.block_of[k]):
+            if b is None:
+                layout = layouts.get(vertex)
+                if layout is None:
+                    layout = layouts[vertex] = _psi_layout(cx.resolutions[vertex])
+                gens.append(GeneratorDescriptor(k, _survivor_psi(layout, state)))
+    gens.sort()
+    return tuple(gens)
+
+
+# chain elements a loop-extended case may have, to keep the whole near 2 s
+LOOP_CASE_CHAIN_MAX = 20_000
+
+
+def _assert_per_coloring_equivalence(d, n):
+    for new, old in ((closed_form(d, n), reference_closed_form(d, n)),
+                     (survivors_combinatorial(d, n), reference_survivors(d, n))):
+        assert list(new.dims.items()) == list(old.dims.items())
+        assert new.generators == old.generators
+        assert all(type(g) is GeneratorDescriptor for g in new.generators)
+    cx = build_complex(d, n)
+    assert compute_homology(cx).generators == reference_generator_scan(cx)
+
+
+def _beside_loops(text, n):
+    """(loops, diagram) for 0..4 unknots beside ``text``, within the chain bound."""
+    base = sum(build_complex(parse(text), n).dims().values())
+    return [
+        (loops, parse(" ".join([text] + ["U"] * loops)))
+        for loops in range(5) if base * n**loops <= LOOP_CASE_CHAIN_MAX
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_loop_factor_matches_the_per_coloring_loops_on_fixtures(n):
+    for name in fixture_names():
+        cases = _beside_loops(FIXTURES[name], n)
+        assert len(cases) >= 3, name  # at least 0, 1 and 2 unknots beside it
+        for loops, d in cases:
+            assert d.free_loops == fixture(name).free_loops + loops
+            _assert_per_coloring_equivalence(d, n)
+
+
+@settings(max_examples=25)
+@given(braid_diagrams(max_letters=4), st.sampled_from((2, 3, 4)),
+       st.integers(min_value=0, max_value=4))
+def test_loop_factor_matches_the_per_coloring_loops_on_braid_closures(d, n, loops):
+    cases = _beside_loops(render_signed(d), n)
+    assume(len(cases) > loops)
+    _assert_per_coloring_equivalence(cases[loops][1], n)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Admissible states, edge-generator actions and projector identities."""
 
+import gc
 from fractions import Fraction
 from itertools import product
 
@@ -132,6 +133,18 @@ def braid_diagrams(draw, max_letters=6):
         for sign, arcs in crossings
     ]
     return parse_signed(" ".join(tokens + ["U"] * circles))
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    r = resolve(fixture("trefoil_right"), (1, 1, 1))
+    gc.collect()
+    gc.disable()
+    try:
+        states = enumerate_admissible(r, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert list(states) == _brute_force_states(r, 3)
 
 
 @settings(max_examples=25, derandomize=True)
