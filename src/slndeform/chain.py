@@ -17,11 +17,13 @@ int 1 or -1, the standard alternating cube sign (parity of the 1-bits
 before the flipped crossing), which makes the squares anticommute;
 ``rescale_basis`` exists precisely to exercise the claim.  It conjugates
 the integral complex by a diagonal of monomials zeta^e * p/q, so each
-rescaled entry is again a monomial, built in integer arithmetic as a
-``CycloNumber`` with no field product or inverse.  The deformation scale
-beta could change only these nonzero scalars, so the complex does not take
-it; the lemma and the projectors read it.  ``check_d_squared`` verifies
-d o d = 0 exactly with the entries as stored, ints or field elements alike.
+rescaled entry is again a monomial, a ``cyclotomic.Monomial`` kept as the
+ints (e, p, q), whose power-basis ``num``/``den`` are built on first read.
+The deformation scale beta could change only these nonzero scalars, so the
+complex does not take it; the lemma and the projectors read it.
+``check_d_squared`` verifies d o d = 0 exactly with the entries as stored,
+ints or field elements alike; on a rescaled complex every product and every
+cancelling sum of a square is again a monomial, computed in ints.
 
 The differential keeps every arc's label, so the complex splits into one
 block per arc coloring, stored as ``DeformedComplex.blocks``: the cube over
@@ -167,7 +169,8 @@ class DeformedComplex:
     ``blocks`` holds the nonzero entries, as block id -> degree k ->
     {(target, source): value}, indexed like the whole bases of degrees k+1
     and k; no block holds an empty degree.  A value is the int 1 or -1 as
-    ``build_complex`` stores it, and a ``CycloNumber`` after rescaling.
+    ``build_complex`` stores it, and a ``Monomial`` (a ``CycloNumber`` whose
+    ``num``/``den`` are built on first read) after rescaling.
     ``build_complex`` files each block's entries crossing-major (free
     crossings outer, members inner), so the entries across the block's first
     free crossing come first; the matching in ``homology.matrix_rank``
@@ -203,10 +206,11 @@ class DeformedComplex:
         """First nonzero entry of d o d, or None if the complex is honest.
 
         d o d is composed one arc-coloring block at a time with the entries
-        as stored: ints as ``build_complex`` leaves them, ``CycloNumber``s
-        after rescaling, or a mix.  An entry whose source or target lies
-        outside its block (or in none) raises InternalCheckError.  A failure
-        names the square with the smallest (degree, target, source):
+        as stored, through their own operators: ints as ``build_complex``
+        leaves them, ``Monomial``s after rescaling, other ``CycloNumber``s,
+        or a mix.  An entry whose source or target lies outside its block
+        (or in none) raises InternalCheckError.  A failure names the square
+        with the smallest (degree, target, source):
         (degree, source basis element, target basis element, value), the
         value a CycloNumber.
         """
@@ -504,8 +508,9 @@ def rescale_with(cx: DeformedComplex, scalars: dict[int, list]) -> DeformedCompl
     zeta^e * p/q, per basis element of degree k; p = 0 or q = 0 raises
     ValueError.  Only the integral complex of ``build_complex`` is accepted:
     an entry v that is not an int raises ValueError.  The entry v from s to t
-    becomes S[t] * v / S[s] = zeta^(e_t - e_s) * (v p_t q_s) / (q_t p_s),
-    built by ``CycloField.monomial`` in integer arithmetic.
+    becomes S[t] * v / S[s] = zeta^(e_t - e_s) * (v p_t q_s) / (q_t p_s), a
+    ``Monomial`` from ``CycloField.monomial``: reduced ints, whose
+    ``num``/``den`` are built only when general field code first reads them.
     """
     for k in cx.degrees:
         col = scalars.get(k, ())

@@ -139,8 +139,10 @@ def _eliminate(entries: dict, nrows: int) -> int:
 
     Entries may be ints, Fractions or ``CycloNumber``s: each pivot is
     inverted as ``Fraction(1) / pivot``, which stays exact for all three
-    (for a ``CycloNumber`` it calls ``CycloNumber.inv``), and zero is read
-    by truthiness.
+    (for a ``CycloNumber`` it calls its ``inv``), and zero is read by
+    truthiness.  A rescaled block holds ``Monomial``s, whose entry of row r
+    and column c is always zeta^(a_r - b_c) times a rational, so each
+    factor, product and fill-in stays a monomial computed in ints.
     """
     rows: list[dict] = [dict() for _ in range(nrows)]
     for (r, c), v in entries.items():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from test_homology import TORUS_2_7, eliminated_dims, split_union
 from test_states import _braid_closure, _torus_pd, braid_diagrams
 
-from slndeform import chain
+from slndeform import chain, cyclotomic
 from slndeform.chain import (
     LocalType,
     _partners,
@@ -20,7 +20,7 @@ from slndeform.chain import (
     rescale_basis,
     rescale_with,
 )
-from slndeform.cyclotomic import CycloNumber
+from slndeform.cyclotomic import CycloNumber, Monomial
 from slndeform.diagram import parse, parse_pd, parse_signed, render_signed
 from slndeform.errors import InternalCheckError, SizeBoundError
 from slndeform.fixtures import fixture, fixture_names
@@ -371,6 +371,25 @@ def test_rescaling_preserves_d_squared_and_homology():
             assert eliminated_dims(rescaled) == base
 
 
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_rescaled_d_squared_and_elimination_stay_in_monomials(n, monkeypatch):
+    # every product, cancelling sum, pivot inverse and fill-in of a rescaled
+    # block is again a monomial, so neither check builds a power-basis form
+    cx = build_complex(fixture("figure_eight"), n)
+    base = compute_homology(cx).dims
+    rescaled = [rescale_basis(cx, seed) for seed in (0, 1)]
+
+    def power_basis(*args):
+        raise AssertionError("a rescaled check left the monomials")
+
+    monkeypatch.setattr(cyclotomic, "_scaled", power_basis)
+    for name in ("_add", "_mul", "_inv"):
+        monkeypatch.setattr(cx.field, name, power_basis)
+    for rx in rescaled:
+        assert rx.check_d_squared() is None
+        assert eliminated_dims(rx) == base
+
+
 def test_rescaling_rejects_zero_scalars():
     cx = build_complex(fixture("hopf_pos"), 2)
     for zero in ((0, 0, 1), (0, 1, 0)):  # p = 0, then q = 0
@@ -415,7 +434,8 @@ def _assert_rescaled_by_field_products(cx, seed):
 
     S = root(e) * Fraction(p, q) from the drawn triples, with honest
     ``CycloNumber`` products and norm inverses; the rescaled blocks keep the
-    keys and the entry order of the integral ones.
+    keys and the entry order of the integral ones, and every entry is a
+    ``Monomial``.
     """
     rx, drawn = _rescale_and_draws(cx, seed)
     field = cx.field
@@ -430,6 +450,7 @@ def _assert_rescaled_by_field_products(cx, seed):
             assert list(got) == list(entries)
             for (t, s), v in entries.items():
                 want = scale[k + 1][t] * v * scale[k][s].inv()
+                assert type(got[t, s]) is Monomial
                 assert (got[t, s].num, got[t, s].den) == (want.num, want.den), (b, k, t, s)
 
 
@@ -569,6 +590,34 @@ def test_negated_entry_of_a_rescaled_complex_is_caught():
     b = _blocks_with_squares(cx)[-1]
     _scale_smallest_entry(cx, b, max(cx.blocks[b]), -1)
     assert _assert_reports_first_failure(cx) is not None
+
+
+SHIFTED_EXPONENT_FAILURE = {
+    3: "(0, ChainBasisElement(vertex=(1, 1, 1, 1), state=(2, 1, 1, 1, 2, 0, 0, 0), degree=0), "
+       "ChainBasisElement(vertex=(0, 0, 1, 1), state=(2, 1, 1, 0, 0), degree=2), "
+       "CycloNumber(-1 + z, n=3))",
+    4: "(0, ChainBasisElement(vertex=(1, 1, 1, 1), state=(3, 2, 2, 2, 3, 1, 1, 1), degree=0), "
+       "ChainBasisElement(vertex=(0, 0, 1, 1), state=(3, 2, 2, 1, 1), degree=2), "
+       "CycloNumber(-2 + 2*z, n=4))",
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_exponent_shift_of_a_rescaled_entry_is_caught(n):
+    # times zeta, an entry keeps its rational part and its nonzero pattern:
+    # only its exponent is wrong, so a sum of monomials that ignored
+    # exponents would still cancel every square
+    cx = rescale_basis(build_complex(fixture("figure_eight"), n), seed=3)
+    b = _blocks_with_squares(cx)[-1]
+    k = max(cx.blocks[b])
+    key = min(cx.blocks[b][k])
+    before = cx.blocks[b][k][key]
+    _scale_smallest_entry(cx, b, k, cx.field.monomial(1, 1, 1))
+    after = cx.blocks[b][k][key]
+    assert (after.p, after.q) == (before.p, before.q) and after.e == (before.e + 1) % n
+    failure = _assert_reports_first_failure(cx)
+    assert failure is not None and type(failure[3]) is CycloNumber
+    assert repr(failure) == SHIFTED_EXPONENT_FAILURE[n]
 
 
 def test_negated_entry_failure_text_on_figure_eight():

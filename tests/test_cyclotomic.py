@@ -7,7 +7,14 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
-from slndeform.cyclotomic import CycloField, CycloNumber, cyclotomic_polynomial, root
+from slndeform import cyclotomic
+from slndeform.cyclotomic import (
+    CycloField,
+    CycloNumber,
+    Monomial,
+    cyclotomic_polynomial,
+    root,
+)
 from slndeform.errors import InternalCheckError
 from slndeform.fixtures import fixture
 from slndeform.potential import MultiPoly
@@ -426,3 +433,128 @@ def test_rational_over_element_matches_product_with_inverse(fb, r):
     want = fld.from_rational(r) * a.inv()
     _assert_canonical(got)
     assert (got.num, got.den) == (want.num, want.den)
+
+
+# ----------------------------------------------------------------------
+# Monomial arithmetic in ints, against honest field arithmetic on
+# root(e) * Fraction(p, q)
+
+MONOMIAL_P = st.integers(min_value=-30, max_value=30)
+MONOMIAL_Q = st.integers(min_value=-20, max_value=20).filter(bool)
+
+
+@st.composite
+def two_monomials(draw):
+    """n = 1..13 and two triples (e, p, q); the second shares e mod n half the time."""
+    n = draw(st.integers(min_value=1, max_value=13))
+    e = draw(st.integers(min_value=-40, max_value=40))
+    shift = n * draw(st.integers(min_value=-2, max_value=2))
+    f = e + shift if draw(st.booleans()) else draw(st.integers(min_value=-40, max_value=40))
+    return n, (e, draw(MONOMIAL_P), draw(MONOMIAL_Q)), (f, draw(MONOMIAL_P), draw(MONOMIAL_Q))
+
+
+def _honest(fld, e, p, q):
+    return fld.root(e) * Fraction(p, q)
+
+
+def _assert_reduced(m):
+    assert type(m) is Monomial
+    assert 0 <= m.e < m.field.n and m.q > 0 and gcd(m.p, m.q) == 1
+    if not m.p:
+        assert (m.e, m.q) == (0, 1)
+
+
+def _assert_same_element(got, want):
+    _assert_canonical(got)
+    assert type(want) is CycloNumber
+    assert (got.num, got.den) == (want.num, want.den)
+    assert got == want and want == got and hash(got) == hash(want)
+    assert bool(got) == bool(want)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(two_monomials(), st.integers(min_value=-6, max_value=6))
+@example(nab=(4, (0, 1, 1), (2, 1, 1)), k=2)
+@example(nab=(4, (1, 3, -2), (3, 3, -2)), k=0)
+@example(nab=(6, (5, 0, -7), (2, -4, 6)), k=-1)
+@example(nab=(2, (0, 2, 3), (1, 2, 3)), k=1)
+@example(nab=(1, (3, -5, -10), (0, 0, 3)), k=3)
+def test_monomial_arithmetic_matches_field_arithmetic(nab, k):
+    n, ta, tb = nab
+    fld = CycloField(n)
+    a, b = fld.monomial(*ta), fld.monomial(*tb)
+    ha, hb = _honest(fld, *ta), _honest(fld, *tb)
+    same_e = a.e == b.e  # as reduced: zero has e = 0
+    # (result, honest value, whether it must stay a Monomial)
+    checks = [
+        (a, ha, True),
+        (a * b, ha * hb, True),
+        (a * k, ha * k, True),
+        (k * a, k * ha, True),
+        (-a, -ha, True),
+        (a + b, ha + hb, same_e),
+        (a - b, ha - hb, same_e),
+        (a * hb, ha * hb, False),
+        (hb * a, hb * ha, False),
+        (a + hb, ha + hb, False),
+        (hb - a, hb - ha, False),
+    ]
+    if ta[1]:
+        checks += [
+            (a.inv(), ha.inv(), True),
+            (Fraction(1) / a, Fraction(1) / ha, True),
+            (Fraction(k, 7) / a, Fraction(k, 7) / ha, True),
+            (b / a, hb / ha, True),
+        ]
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inv()
+        with pytest.raises(ZeroDivisionError):
+            Fraction(1) / a
+    for got, want, stays in checks:
+        if stays:
+            _assert_reduced(got)
+        _assert_same_element(got, want)
+
+
+def test_monomials_half_a_turn_apart_cancel_at_even_n():
+    # at even n, zeta^(e + n/2) = -zeta^e: equal values with different triples
+    for n in range(2, 14, 2):
+        fld = CycloField(n)
+        for e in range(n):
+            a, b = fld.monomial(e, 3, 2), fld.monomial(e + n // 2, -3, 2)
+            assert (a.e, a.p) != (b.e, b.p)
+            assert a == b and hash(a) == hash(b)
+            total = fld.monomial(e, 1, 1) + fld.monomial(e + n // 2, 1, 1)
+            assert not total and total == 0 and total == fld.zero
+            _assert_canonical(total)
+            assert not (a - b) and a - b == 0
+    assert not CycloField(4).monomial(0, 1, 1) + CycloField(4).monomial(2, 1, 1)
+
+
+def test_monomial_arithmetic_stays_in_ints(monkeypatch):
+    fld = CycloField(12)
+    want = _honest(fld, 10, -2907, 40)
+    built = []
+    scaled = cyclotomic._scaled
+
+    def counting(*args):
+        built.append(args)
+        return scaled(*args)
+
+    def no_field_arithmetic(*args):
+        raise AssertionError("monomial arithmetic used a field kernel")
+
+    monkeypatch.setattr(cyclotomic, "_scaled", counting)
+    for name in ("_add", "_mul", "_inv"):
+        monkeypatch.setattr(fld, name, no_field_arithmetic)
+    a, b = fld.monomial(5, -4, 6), fld.monomial(17, 9, 2)
+    # a = zeta^5 * -2/3 and b = zeta^5 * 9/2, so every term below has e = 10
+    c = (a * b + b * a) * 3 - (-a).inv() * (Fraction(2, 5) / b) * b**4
+    assert bool(c) and not (a - a)
+    assert built == []
+    assert (c.e, c.p, c.q) == (10, -2907, 40)
+    assert c == want  # reads num and den: built once
+    assert len(built) == 1 and c.num is c.num and len(built) == 1
+    with pytest.raises(ZeroDivisionError):
+        fld.monomial(1, 1, 0)
