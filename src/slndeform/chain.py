@@ -31,6 +31,10 @@ the crossings free for that coloring.  ``build_complex`` takes the cubes
 from one walk over the arc colorings of the diagram (``_arc_colorings``),
 which also counts the chain dimension, so ``max_chain_dim`` stops a run
 before any vertex is resolved; no per-vertex state search is involved.
+Labelling the Seifert circles with two labels gives a coloring free at
+every crossing, so the chain dimension is at least 2^k * n^loops for k
+crossings: that bound refuses a diagram before the walk starts, and is
+the only gate on the crossing count.
 The resolution-based ``enumerate_admissible`` stays the oracle for that
 walk (``DeformedComplex.check_states``), and ``matched_pairs`` the
 classifying reference for the entries.  d o d, the ranks and rescaling run
@@ -60,11 +64,9 @@ __all__ = [
     "DeformedComplex",
     "build_complex",
     "rescale_basis",
-    "DEFAULT_MAX_CROSSINGS",
     "DEFAULT_MAX_CHAIN_DIM",
 ]
 
-DEFAULT_MAX_CROSSINGS = 12
 DEFAULT_MAX_CHAIN_DIM = 500_000  # admits T(2,9) at n = 4: 118,108 elements
 
 
@@ -371,13 +373,15 @@ def build_complex(
     d: LinkDiagram,
     n: int,
     *,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
     max_chain_dim: int = DEFAULT_MAX_CHAIN_DIM,
 ) -> DeformedComplex:
     """Assemble the cube complex from the arc colorings, one cube each.
 
-    ``_arc_colorings`` lists each coloring with its free and forced-one
-    crossings, and gates the chain dimension before any vertex is resolved.
+    n < 2 raises ValueError.  A chain dimension past ``max_chain_dim``
+    raises SizeBoundError before any vertex is resolved: at once when the
+    lower bound 2^k * n^loops passes it (see the module docstring), else
+    from ``_arc_colorings``, which lists each coloring with its free and
+    forced-one crossings.
     Each member of a coloring's cube reads its state off the coloring
     through its vertex's ``Resolution.reads``; each vertex sorts its states
     once, and one state arriving twice (a coloring listed twice) raises
@@ -387,9 +391,14 @@ def build_complex(
     the member is the source, the int cube sign, filed crossing-major (see
     ``DeformedComplex``).  Partners and signs come from bit masks.
     """
+    if n < 2:
+        raise ValueError("n must be >= 2")
     k = len(d.crossings)
-    if k > max_crossings:
-        raise SizeBoundError(f"{k} crossings exceed the bound {max_crossings}")
+    if n ** d.free_loops << k > max_chain_dim:  # also spares the k-deep walk
+        raise SizeBoundError(
+            f"chain dimension exceeds the bound {max_chain_dim}: {k} crossings and "
+            f"{d.free_loops} free loops give at least 2^{k} * {n}^{d.free_loops}"
+        )
     colorings = _arc_colorings(d, n, max_chain_dim)
 
     vertices = list(product((0, 1), repeat=k))  # vertex mask m is vertices[m]

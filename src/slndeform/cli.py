@@ -16,7 +16,11 @@ Commands:
   takes ``--beta``: the complex and its homology do not depend on it.
 
 Exit codes: 0 success, 1 mathematical mismatch, 2 input error, 3 resource
-bound exceeded.  Diagrams are given as file paths or bundled fixture names;
+bound exceeded.  The bounds gate the work they measure, before it starts:
+``--max-chain-dim`` the chain dimension of ``homology`` and ``complex``
+(no vertex is resolved past it), and ``--max-raw-states`` the n^4 label
+tuples of ``verify``'s lemma and the raw states of its projector suite.
+Diagrams are given as file paths or bundled fixture names;
 output is deterministic for fixed input and flags.
 """
 
@@ -31,18 +35,12 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import product
 
-from .chain import (
-    DEFAULT_MAX_CHAIN_DIM,
-    DEFAULT_MAX_CROSSINGS,
-    build_complex,
-    rescale_basis,
-)
+from .chain import DEFAULT_MAX_CHAIN_DIM, build_complex, rescale_basis
 from .diagram import DiagramError, LinkDiagram, linking_matrix, parse, writhe
 from .errors import InternalCheckError, SizeBoundError
 from .fixtures import FIXTURES
 from .homology import compute_homology, cross_validate, matrix_rank
 from .potential import (
-    LEMMA_MAX_N,
     MultiPoly,
     PotentialContext,
     X_VARS,
@@ -78,7 +76,6 @@ class RunConfig:
     n: int = 2
     beta: Fraction = Fraction(1)
     fmt: str = "text"
-    max_crossings: int = DEFAULT_MAX_CROSSINGS
     max_chain_dim: int = DEFAULT_MAX_CHAIN_DIM
     max_raw_states: int = DEFAULT_MAX_RAW_STATES
     seed: int = 0
@@ -92,7 +89,7 @@ class RunConfig:
             raise DiagramError("--n must be >= 2")
         if self.beta == 0:
             raise DiagramError("--beta must be nonzero")
-        if min(self.max_crossings, self.max_chain_dim, self.max_raw_states) <= 0:
+        if min(self.max_chain_dim, self.max_raw_states) <= 0:
             raise DiagramError("size bounds must be positive")
 
 
@@ -130,9 +127,7 @@ def _dims_str(dims: dict) -> str:
 # ----------------------------------------------------------------------
 
 def cmd_homology(name: str, d: LinkDiagram, cfg: RunConfig) -> int:
-    report = cross_validate(
-        d, cfg.n, max_crossings=cfg.max_crossings, max_chain_dim=cfg.max_chain_dim
-    )
+    report = cross_validate(d, cfg.n, max_chain_dim=cfg.max_chain_dim)
     closed, computed, agree = report.closed, report.computed, report.passed
 
     payload = {
@@ -214,9 +209,7 @@ def cmd_states(
 def cmd_complex(
     name: str, d: LinkDiagram, matrices: bool, cfg: RunConfig
 ) -> int:
-    cx = build_complex(
-        d, cfg.n, max_crossings=cfg.max_crossings, max_chain_dim=cfg.max_chain_dim
-    )
+    cx = build_complex(d, cfg.n, max_chain_dim=cfg.max_chain_dim)
     dims = cx.dims()
     payload = {
         "diagram": name,
@@ -279,7 +272,7 @@ def _suite_projectors(cfg: RunConfig):
             )
             if not report.passed:
                 return False, f"{last}; {report.failures[0]}"
-    if not last:
+    if not last:  # unreachable from cmd_verify, whose n^4 gate admits unknot0
         raise SizeBoundError(
             f"--max-raw-states {cfg.max_raw_states} admits no projector "
             f"resolution at n={cfg.n}"
@@ -361,10 +354,10 @@ def _suite_cross_validate(cfg: RunConfig):
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.n > LEMMA_MAX_N:
-        raise DiagramError(
-            f"verify needs --n <= {LEMMA_MAX_N}, the cap of the brute-force "
-            f"admissibility lemma check; got {cfg.n}"
+    if cfg.n**4 > cfg.max_raw_states:
+        raise SizeBoundError(
+            f"--max-raw-states {cfg.max_raw_states} is below the {cfg.n**4} "
+            f"label tuples of the admissibility lemma at n={cfg.n}"
         )
     suites = [
         ("admissibility lemma", _suite_lemma),
@@ -415,7 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     def size_bounds(p):
-        p.add_argument("--max-crossings", type=int)
         p.add_argument("--max-chain-dim", type=int, help="bound on the chain dimension")
         return p
 

@@ -59,7 +59,6 @@ from typing import NamedTuple
 
 from .chain import (
     DEFAULT_MAX_CHAIN_DIM,
-    DEFAULT_MAX_CROSSINGS,
     DeformedComplex,
     LocalType,
     build_complex,
@@ -466,11 +465,10 @@ def cross_validate(
     d: LinkDiagram,
     n: int,
     *,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
     max_chain_dim: int = DEFAULT_MAX_CHAIN_DIM,
 ) -> CrossValidation:
     """Run all three methods and insist on exact agreement."""
-    cx = build_complex(d, n, max_crossings=max_crossings, max_chain_dim=max_chain_dim)
+    cx = build_complex(d, n, max_chain_dim=max_chain_dim)
     computed = compute_homology(cx)
     closed = closed_form(d, n)
     survivors = survivors_combinatorial(d, n)

@@ -10,7 +10,8 @@ through a handful of polynomial identities.  This module keeps them exact:
   reported as an internal error rather than silently truncated.
 * ``admissible_tuple`` is the set-theoretic condition under which the four
   thick-edge equations vanish, and ``lemma_brute_check`` confirms the
-  equivalence over all n^4 root tuples.  The two linear equations decide
+  equivalence over all n^4 root tuples, at any n; ``slndeform verify``
+  bounds the n^4 by ``--max-raw-states``.  The two linear equations decide
   first; u1 and u2 are summed only where they hold.
 
 Polynomials are sparse Fraction-coefficient maps from exponent vectors, so
@@ -36,11 +37,7 @@ __all__ = [
     "admissible_tuple",
     "lemma_brute_check",
     "LemmaReport",
-    "LEMMA_MAX_N",
 ]
-
-# largest n the brute-force lemma check accepts (n^4 tuples over Q(zeta_n))
-LEMMA_MAX_N = 6
 
 X_VARS = ("x1", "x2", "x3", "x4")
 
@@ -350,8 +347,6 @@ def lemma_brute_check(ctx: PotentialContext) -> LemmaReport:
     never by dividing, so coincident points are fine.
     """
     n, beta = ctx.n, ctx.beta
-    if n > LEMMA_MAX_N:
-        raise ValueError(f"brute-force lemma check capped at n = {LEMMA_MAX_N}")
     fld = CycloField(n)
     gterms = g_poly(n).terms
     target_u1 = fld.from_rational((n + 1) * beta**n)

@@ -48,7 +48,8 @@ __all__ = [
 
 State = tuple  # labels indexed by position in resolution.thin_edges
 
-# admits 12 thin edges at n=2 (4096) and 8 at n=3 (6561), one more of neither
+# admits 12 thin edges at n=2 (4096) and 8 at n=3 (6561), one more of neither;
+# verify also bounds the lemma's n^4 tuples by it, so runs up to n = 9
 DEFAULT_MAX_RAW_STATES = 6561
 
 

@@ -345,9 +345,70 @@ def test_cube_squares_carry_both_paths_or_neither():
                 assert count == 2
 
 
-def test_crossing_bound_enforced():
-    with pytest.raises(SizeBoundError):
-        build_complex(fixture("figure_eight"), 2, max_crossings=3)
+def test_cube_lower_bound_refuses_before_the_walk(monkeypatch):
+    # the chain dimension is at least 2^k * n^loops, so a diagram past that
+    # is refused before the walk, whose recursion runs k deep
+    def never(*args):
+        raise AssertionError("the walk or a vertex ran")
+
+    monkeypatch.setattr(chain, "_arc_colorings", never)
+    monkeypatch.setattr(chain, "resolve", never)
+    with pytest.raises(
+        SizeBoundError, match=r"41 crossings and 0 free loops give at least 2\^41 \* 2\^0"
+    ):
+        build_complex(parse_pd(_torus_pd(41)), 2)
+    d = parse_pd(_torus_pd(5001))
+    began = time.perf_counter()
+    with pytest.raises(SizeBoundError, match="exceeds the bound 500000"):
+        build_complex(d, 3)
+    with pytest.raises(SizeBoundError, match="exceeds the bound 500000"):
+        cross_validate(d, 3)
+    assert time.perf_counter() - began < 1.0
+    with pytest.raises(SizeBoundError, match=r"0 crossings and 2 free loops .* 2\^0 \* 3\^2"):
+        build_complex(parse("U U"), 3, max_chain_dim=8)
+
+
+def test_cube_lower_bound_meets_the_walk_count():
+    # with no crossings the bound is the chain dimension itself
+    assert build_complex(parse("U U"), 3, max_chain_dim=9).dims() == {0: 9}
+    # hopf_pos at n = 2: 12 elements; past the lower bound 4 the walk decides
+    d = fixture("hopf_pos")
+    with pytest.raises(SizeBoundError, match=r"bound 4$"):
+        build_complex(d, 2, max_chain_dim=4)
+    with pytest.raises(SizeBoundError, match="2 crossings and 0 free loops"):
+        build_complex(d, 2, max_chain_dim=3)
+
+
+def _assert_a_coloring_is_free_everywhere(d, n):
+    """Some arc coloring's cube is the whole cube, so dim >= 2^k * n^loops.
+
+    Two labels on the two colour classes of the (bipartite) Seifert graph
+    give l1 = l3 != l2 = l4 at every crossing; the crossing-count gate of
+    ``build_complex`` rests on this.
+    """
+    k = len(d.crossings)
+    colorings = chain._arc_colorings(d, n, 10**9)
+    assert any(free == (1 << k) - 1 for _, free, _ in colorings)
+    assert sum(build_complex(d, n).dims().values()) >= n ** d.free_loops << k
+
+
+@pytest.mark.parametrize("name", fixture_names())
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_coloring_is_free_at_every_crossing(name, n):
+    _assert_a_coloring_is_free_everywhere(fixture(name), n)
+
+
+@given(braid_diagrams(), st.sampled_from((2, 3)))
+def test_a_coloring_is_free_at_every_crossing_on_generated_diagrams(d, n):
+    _assert_a_coloring_is_free_everywhere(d, n)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_n_below_2_is_rejected(n):
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        build_complex(fixture("figure_eight"), n)
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        cross_validate(fixture("figure_eight"), n)
 
 
 def test_identity_rescaling_is_identity():
@@ -655,7 +716,7 @@ def test_basis_ordering_contract():
 
 
 def test_positional_third_argument_is_rejected():
-    # max_crossings is keyword-only, so a positional beta cannot become the bound
+    # max_chain_dim is keyword-only, so a positional beta cannot become the bound
     with pytest.raises(TypeError):
         build_complex(fixture("hopf_pos"), 2, 1)
     with pytest.raises(TypeError):

@@ -6,9 +6,12 @@ from dataclasses import replace
 import jsonschema
 import pytest
 
+from test_states import _torus_pd
+
 from slndeform import chain, cli, homology
-from slndeform.cli import main
+from slndeform.cli import RunConfig, main
 from slndeform.cyclotomic import CycloNumber
+from slndeform.errors import SizeBoundError
 
 HOMOLOGY_SCHEMA = {
     "type": "object",
@@ -249,10 +252,28 @@ def test_signed_file_loading(tmp_path, capsys):
     assert json.loads(out)["dims"] == {"-2": 2, "0": 2}
 
 
-def test_size_bound_exit_code(capsys):
-    code, _, err = _run(capsys, "homology", "figure_eight", "--max-crossings", "2")
-    assert code == 3
-    assert "size bound" in err
+def test_size_bound_exit_code(tmp_path, capsys, monkeypatch):
+    # 2^41 cube vertices: refused before the walk or any vertex
+    def never(*args):
+        raise AssertionError("the walk or a vertex ran")
+
+    monkeypatch.setattr(chain, "_arc_colorings", never)
+    monkeypatch.setattr(chain, "resolve", never)
+    f = tmp_path / "t241.pd"
+    f.write_text(_torus_pd(41))
+    code, out, err = _run(capsys, "homology", str(f), "--n", "2")
+    assert code == 3 and out == ""
+    assert err.startswith("size bound exceeded: chain dimension exceeds the bound 500000")
+    assert "at least 2^41 * 2^0" in err
+
+
+@pytest.mark.parametrize("command", ["homology", "complex"])
+def test_max_crossings_is_not_an_option(capsys, command):
+    # the chain dimension bound also bounds the cube, so no crossing cap exists
+    with pytest.raises(SystemExit) as exc:
+        main([command, "hopf_pos", "--max-crossings", "12"])
+    assert exc.value.code == 2
+    assert "--max-crossings" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["homology", "complex"])
@@ -327,7 +348,7 @@ def test_states_rejects_options_it_does_not_read(capsys):
 
 
 def test_verify_rejects_max_crossings(capsys):
-    # verify's diagrams are fixed and have at most 3 crossings
+    # no command takes a crossing cap: the chain dimension bound covers the cube
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--max-crossings", "12"])
     assert exc.value.code == 2
@@ -398,21 +419,42 @@ def test_verify_n6_covers_1296_tuples(capsys):
     assert "1296 tuples" in out
 
 
-def test_verify_above_lemma_cap_is_an_input_error(capsys, monkeypatch):
+def test_verify_past_the_raw_state_bound_exits_3_before_any_suite(capsys, monkeypatch):
+    # the lemma scans n^4 label tuples: 10^4 > 6561 = 9^4, the default bound
     def no_suite(cfg):
-        raise AssertionError("a suite ran before --n was checked")
+        raise AssertionError("a suite ran before n^4 was checked")
 
-    monkeypatch.setattr(cli, "_suite_lemma", no_suite)
-    code, out, err = _run(capsys, "verify", "--n", "7")
-    assert code == 2
+    for suite in ("lemma", "projectors", "telescoping", "complex", "cross_validate"):
+        monkeypatch.setattr(cli, f"_suite_{suite}", no_suite)
+    code, out, err = _run(capsys, "verify", "--n", "10")
+    assert code == 3
     assert out == ""
-    assert err.startswith("input error:") and "--n <= 6" in err
+    assert err.startswith("size bound exceeded:")
+    assert "--max-raw-states 6561" in err and "n=10" in err
+    code, _, err = _run(capsys, "verify", "--n", "3", "--max-raw-states", "80")
+    assert code == 3 and "--max-raw-states 80" in err
+    monkeypatch.undo()
+    code, out, _ = _run(capsys, "verify", "--n", "3", "--max-raw-states", "81")
+    assert code == 0 and "12 admissible of 81 tuples" in out
+
+
+def test_verify_n7_passes(capsys):
+    code, out, _ = _run(capsys, "verify", "--n", "7")
+    assert code == 0
+    assert "n=7 beta 1, 2, -3: 84 admissible of 2401 tuples" in out
+    assert out.count("PASS") == 5
+
+
+def test_projector_suite_with_no_resolution_in_bound_raises():
+    # cmd_verify's n^4 gate admits unknot0 (n raw states), so only a direct
+    # call can leave the suite nothing to check, which must not read as a pass
+    with pytest.raises(SizeBoundError, match="--max-raw-states 1 admits no projector"):
+        cli._suite_projectors(RunConfig(n=2, max_raw_states=1))
 
 
 @pytest.mark.parametrize("n,bound", [(2, 1), (3, 2)])
 def test_verify_with_no_projector_resolution_in_bound_exits_3(capsys, n, bound):
-    # a bound below every resolution's raw state count leaves the projector
-    # suite nothing to check, which must not read as a pass
+    # a bound below n^4 stops verify before any suite, projectors included
     code, out, err = _run(
         capsys, "verify", "--n", str(n), "--max-raw-states", str(bound)
     )

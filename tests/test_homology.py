@@ -341,6 +341,21 @@ def test_homology_result_json():
 # Ranking by arc-coloring blocks
 # ----------------------------------------------------------------------
 
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name in ("hopf_pos", "trefoil_left") for n in (7, 11, 12)]
+    + [("figure_eight", 7)],
+)
+def test_three_way_and_rescaled_elimination_past_n6(name, n):
+    # Q(zeta_n) of degree 6, 10 and 4: the complex meets fields no lower n has
+    d = fixture(name)
+    report = cross_validate(d, n)
+    assert report.passed, report.messages
+    rescaled = rescale_basis(build_complex(d, n), n)
+    assert rescaled.check_d_squared() is None
+    assert eliminated_dims(rescaled) == report.closed.dims
+
+
 def eliminated_dims(cx):
     """Homology dims, every block's degrees ranked by elimination.
 

@@ -161,9 +161,10 @@ def test_lemma_reports_a_shifted_u_as_counterexamples(monkeypatch, shift, n, bet
     assert rep.admissible_count == len(admissible)
 
 
-def test_lemma_rejects_oversized_n():
-    with pytest.raises(ValueError):
-        lemma_brute_check(PotentialContext(7, Fraction(1)))
+def test_lemma_holds_at_n7():
+    rep = lemma_brute_check(PotentialContext(7, Fraction(1)))
+    assert rep.passed
+    assert (rep.admissible_count, rep.tuples_checked) == (84, 2401)
 
 
 def test_potential_context_validation():
