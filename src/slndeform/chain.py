@@ -327,30 +327,39 @@ def _arc_colorings(d: LinkDiagram, n: int, max_chain_dim: int) -> list[tuple]:
                 return ()
         return (x,)
 
-    def walk(step, free, ones):
-        nonlocal total
-        if step == k:
-            total += per_coloring << free.bit_count()
-            if total > max_chain_dim:
-                raise SizeBoundError(f"chain dimension exceeds the bound {max_chain_dim}")
-            out.append((tuple(labels), free, ones))
+    def moves(step, free, ones):
+        """Label the arcs new at ``step``, piece by piece; yield the masks so far."""
+        if step == k:  # no crossing at all: the one empty coloring
+            yield free, ones
             return
         for (known, fresh), second, f, o in plan[step]:
             for x in options(known):
                 for p in fresh:
                     labels[p] = x
                 if second is None:
-                    walk(step + 1, free | f, ones | o)
+                    yield free | f, ones | o
                     continue
                 known2, fresh2 = second
                 for y in options(known2):
                     if y != x:
                         for p in fresh2:
                             labels[p] = y
-                        walk(step + 1, free | f, ones | o)
+                        yield free | f, ones | o
 
-    walk(0, 0, 0)
-    del walk  # it refers to itself: a cycle that would keep ``out`` alive
+    # depth first, one suspended ``moves`` per step entered; a step labels
+    # only its own new arcs, so each resumes on the labels it left
+    stack = [moves(0, 0, 0)]
+    while stack:
+        for free, ones in stack[-1]:
+            if len(stack) < k:
+                stack.append(moves(len(stack), free, ones))
+                break
+            total += per_coloring << free.bit_count()
+            if total > max_chain_dim:
+                raise SizeBoundError(f"chain dimension exceeds the bound {max_chain_dim}")
+            out.append((tuple(labels), free, ones))
+        else:
+            stack.pop()
     return out
 
 

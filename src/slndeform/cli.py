@@ -136,9 +136,7 @@ def cmd_homology(name: str, d: LinkDiagram, cfg: RunConfig) -> int:
         "components": d.component_count,
         "dims": {str(k): v for k, v in sorted(computed.dims.items())},
         "total": computed.total,
-        "generators": [
-            {"psi": list(g.psi), "degree": g.degree} for g in closed.generators
-        ],
+        "generators": closed.to_json()["generators"],
         "closed_form_dims": {str(k): v for k, v in sorted(closed.dims.items())},
         "computed_dims": {str(k): v for k, v in sorted(computed.dims.items())},
         "agree": agree,
@@ -153,12 +151,8 @@ def cmd_homology(name: str, d: LinkDiagram, cfg: RunConfig) -> int:
         *(f"  {m}" for m in report.messages),
         "generators (degree: colorings):",
     ]
-    by_degree: dict[int, list] = {}
-    for g in closed.generators:
-        by_degree.setdefault(g.degree, []).append(g.psi)
-    for k in sorted(by_degree):
-        colorings = " ".join(str(tuple(p)) for p in by_degree[k])
-        lines.append(f"  {k}: {colorings}")
+    for k, column in closed.psis.items():
+        lines.append(f"  {k}: {' '.join(map(str, column))}")
     _emit(payload, lines, cfg)
     return EXIT_OK if agree else EXIT_MISMATCH
 

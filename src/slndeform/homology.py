@@ -19,7 +19,7 @@
   constant on every component, and one itemgetter reads each coloring
   (``_psi_readers``).  A run that fails the check is read again through
   ``_survivor_psi``, which names the first bad state.  The colorings are
-  sorted once per degree.
+  sorted once per degree, into that degree's column.
 * ``closed_form``: the combinatorial answer -- one generator per coloring
   of the components by roots of unity, in degree given by the linking
   numbers of the preimage sublinks, n^l generators in total.
@@ -35,16 +35,21 @@ Free loops are a product factor in both of the last two.  A loop links
 nothing and meets no crossing, so only the colorings of the drawn
 components are computed (and, for the survivors, checked) one by one;
 ``_with_loops`` extends each by every labelling of the loops, which come
-last in psi, and the list comes out sorted.  The survivors check that no
-resolution reads a loop at a tie or a crossing (``_loops_apart``), which
-is what lets one check stand for every labelling of the loops.
+last in psi, into its degree's column, and every column comes out sorted.
+The survivors check that no resolution reads a loop at a tie or a crossing
+(``_loops_apart``), which is what lets one check stand for every labelling
+of the loops.
 
 ``cross_validate`` runs all three and insists on identical degree->dimension
-tables and generator lists plus Euler-characteristic agreement with the
-chain level.  A generator is a ``GeneratorDescriptor``, a named tuple
-(degree, psi): the lists of n^l of them sort and compare as plain tuples,
-and are built in bulk by ``resolution.records``.  None of the three reads
-the deformation scale beta (see ``chain``).
+tables and generator columns plus Euler-characteristic agreement with the
+chain level.  Each of the three keeps its n^l generators as plain columns,
+``HomologyResult.psis``: degree -> the sorted tuple of its colorings, each
+a plain tuple of root labels, which the cyclic collector stops walking
+once it has seen them.  The named records, ``GeneratorDescriptor``
+(degree, psi), are built from the columns in bulk by
+``resolution.records`` the first time ``HomologyResult.generators`` is
+read; the check itself reads none.  None of the three reads the
+deformation scale beta (see ``chain``).
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import compress, groupby, product, repeat
 from operator import add, is_, itemgetter, ne
 from typing import NamedTuple
@@ -191,8 +196,25 @@ class GeneratorDescriptor(NamedTuple):
 
 @dataclass(frozen=True)
 class HomologyResult:
+    """Dimensions per degree and the generators as plain per-degree columns.
+
+    ``psis`` maps each degree that has generators, in ascending order, to
+    the sorted tuple of their colorings, each a plain tuple of root labels.
+    Exact tuples of ints are untracked by the cyclic collector once it has
+    seen them, so long-lived results cost it nothing.  ``generators`` builds
+    the ``GeneratorDescriptor`` records from the columns, in (degree, psi)
+    order, the first time it is read.
+    """
+
     dims: dict  # degree -> dimension
-    generators: tuple[GeneratorDescriptor, ...]
+    psis: dict  # degree -> sorted tuple of colorings
+
+    @cached_property
+    def generators(self) -> tuple[GeneratorDescriptor, ...]:
+        gens = []
+        for k, column in self.psis.items():
+            gens.extend(records(GeneratorDescriptor, repeat(k), column))
+        return tuple(gens)
 
     @property
     def total(self) -> int:
@@ -206,7 +228,8 @@ class HomologyResult:
             "dims": {str(k): self.dims[k] for k in sorted(self.dims)},
             "total": self.total,
             "generators": [
-                {"psi": list(g.psi), "degree": g.degree} for g in self.generators
+                {"psi": list(psi), "degree": k}
+                for k, column in self.psis.items() for psi in column
             ],
         }
 
@@ -217,17 +240,17 @@ def _with_loops(heads, n: int, loops: int) -> HomologyResult:
     A free loop links nothing and meets no crossing, so each pair stands for
     n^loops generators in its degree, one per labelling of the loops (the
     last components).  The pairs are sorted once and each is extended by
-    the loop labellings in lex order, so the generators come out sorted.
+    the loop labellings in lex order into its degree's column, so every
+    column comes out sorted.
     """
-    heads = sorted(heads)
     tails = list(product(range(n), repeat=loops))
-    gens = []
-    for degree, head in heads:
-        gens.extend(records(GeneratorDescriptor, repeat(degree), map(add, repeat(head), tails)))
-    dims = Counter(degree for degree, _ in heads)
-    return HomologyResult(
-        dims={k: dims[k] * len(tails) for k in sorted(dims)}, generators=tuple(gens)
-    )
+    psis = {}
+    for degree, group in groupby(sorted(heads), key=itemgetter(0)):
+        column = []
+        for _, head in group:
+            column.extend(map(add, repeat(head), tails))
+        psis[degree] = tuple(column)
+    return HomologyResult(dims={k: len(c) for k, c in psis.items()}, psis=psis)
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +345,7 @@ def compute_homology(cx: DeformedComplex) -> HomologyResult:
     so ``matrix_rank`` can prove the rank by a matching.  That ceiling
     holds only if d o d = 0 and every entry lies in its block, which
     ``check_d_squared`` checks (``cross_validate`` and ``slndeform verify``
-    run it; so does the benchmark).  Generator descriptors are read off the
+    run it; so does the benchmark).  The generator columns are read off the
     elements of no block; ``cross_validate`` checks they account for every
     dimension and match the survivor resolutions.
     """
@@ -348,7 +371,7 @@ def compute_homology(cx: DeformedComplex) -> HomologyResult:
         if dim:
             dims[k] = dim
     vertex_field, state_field = itemgetter(0), itemgetter(1)
-    gens = []
+    columns = {}
     for k in cx.degrees:
         untouched = compress(cx.basis[k], map(is_, cx.block_of[k], repeat(None)))
         psis = []
@@ -358,9 +381,10 @@ def compute_homology(cx: DeformedComplex) -> HomologyResult:
             if sides and any(map(ne, map(sides[0], states), map(sides[1], states))):
                 read = partial(_survivor_psi, layout)  # raises at the first bad state
             psis.extend(map(read, states))
-        psis.sort()
-        gens.extend(records(GeneratorDescriptor, repeat(k), psis))
-    return HomologyResult(dims=dims, generators=tuple(gens))
+        if psis:
+            psis.sort()
+            columns[k] = tuple(psis)
+    return HomologyResult(dims=dims, psis=columns)
 
 
 # ----------------------------------------------------------------------
@@ -488,9 +512,9 @@ def cross_validate(
         report.messages.append(
             f"survivor resolution {survivors.dims} != closed form {closed.dims}"
         )
-    if computed.generators != survivors.generators:
+    if computed.psis != survivors.psis:
         report.messages.append("survivor generator lists disagree")
-    if closed.generators != survivors.generators:
+    if closed.psis != survivors.psis:
         report.messages.append("closed-form and survivor generator lists disagree")
     homology_euler = computed.euler_characteristic()
     if chain_euler != homology_euler:

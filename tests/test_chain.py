@@ -1,5 +1,6 @@
 """Differential assembly: local types, matched pairs, d^2 = 0, rescaling."""
 
+import gc
 import time
 from fractions import Fraction
 from itertools import product
@@ -347,7 +348,7 @@ def test_cube_squares_carry_both_paths_or_neither():
 
 def test_cube_lower_bound_refuses_before_the_walk(monkeypatch):
     # the chain dimension is at least 2^k * n^loops, so a diagram past that
-    # is refused before the walk, whose recursion runs k deep
+    # is refused before the walk, which runs k steps deep
     def never(*args):
         raise AssertionError("the walk or a vertex ran")
 
@@ -366,6 +367,27 @@ def test_cube_lower_bound_refuses_before_the_walk(monkeypatch):
     assert time.perf_counter() - began < 1.0
     with pytest.raises(SizeBoundError, match=r"0 crossings and 2 free loops .* 2\^0 \* 3\^2"):
         build_complex(parse("U U"), 3, max_chain_dim=8)
+
+
+def test_a_walk_a_thousand_crossings_deep_stops_at_the_bound():
+    # 2^1001 passes the cube lower bound of T(2,1001) at n = 2, so the walk
+    # starts, one step per crossing; it keeps its own stack, so the first
+    # colorings push the count past the bound long before any call-depth limit
+    d = parse_pd(_torus_pd(1001))
+    with pytest.raises(SizeBoundError, match="exceeds the bound"):
+        build_complex(d, 2, max_chain_dim=1 << 1001)
+
+
+def test_the_walk_leaves_no_reference_cycle():
+    d = fixture("trefoil_right")
+    gc.collect()
+    gc.disable()
+    try:
+        colorings = chain._arc_colorings(d, 3, 10**9)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert sum(1 << free.bit_count() for _, free, _ in colorings) == 87
 
 
 def test_cube_lower_bound_meets_the_walk_count():

@@ -1,5 +1,6 @@
 """The three homology computations and their exact agreement."""
 
+import gc
 import re
 from collections import Counter
 from dataclasses import replace
@@ -260,6 +261,24 @@ def test_closed_form_generators_must_match_the_survivors(monkeypatch):
     assert rep.closed.generators != rep.survivors.generators
     assert not rep.passed
     assert rep.messages == ["closed-form and survivor generator lists disagree"]
+
+
+def test_computed_generators_must_match_the_survivors(monkeypatch):
+    # moving the rank computation's (0, 1) from degree 2 to degree 0 keeps
+    # its dims; only the generator columns can tell
+    real = compute_homology
+
+    def moved(cx):
+        result = real(cx)
+        psis = {0: tuple(sorted(result.psis[0] + ((0, 1),))),
+                2: tuple(p for p in result.psis[2] if p != (0, 1))}
+        return replace(result, psis=psis)
+
+    monkeypatch.setattr(homology, "compute_homology", moved)
+    rep = cross_validate(fixture("hopf_pos"), 2)
+    assert rep.closed.dims == rep.survivors.dims == rep.computed.dims
+    assert not rep.passed
+    assert rep.messages == ["survivor generator lists disagree"]
 
 
 def test_trefoil_cross_validation():
@@ -604,6 +623,30 @@ def test_survivors_with_loops_reject_an_induced_state_of_the_wrong_type(monkeypa
         survivors_combinatorial(parse(HOPF_U3), 2)
 
 
+@pytest.mark.parametrize("code, n", [(HOPF_U3, 3), ("U U U U U U U", 4)])
+def test_cross_validate_keeps_generators_as_untracked_columns(code, n):
+    d = parse(code)
+    rep = cross_validate(d, n)
+    assert rep.passed, rep.messages
+    results = (rep.computed, rep.closed, rep.survivors)
+    assert all("generators" not in vars(r) for r in results)  # no record built
+    # a full collection untracks each coloring, a tuple of ints; the next
+    # one untracks its column, which the first may have scanned before them
+    gc.collect()
+    gc.collect()
+    for r in results:
+        assert list(r.psis) == sorted(r.psis)
+        assert not any(map(gc.is_tracked, r.psis.values()))
+    # the records, built on first read, are the per-coloring references'
+    expected = reference_generator_scan(build_complex(d, n))
+    assert reference_closed_form(d, n).generators == expected
+    assert reference_survivors(d, n).generators == expected
+    for r in results:
+        assert r.generators == expected
+        assert all(type(g) is GeneratorDescriptor for g in r.generators)
+        assert r.generators is vars(r)["generators"]
+
+
 def _tie_a_loop(r):
     """``r`` with the first arc's coloring position tied to the first loop's."""
     ties = (r.ties[0] + (0,), r.ties[1] + (len(r.diagram.arcs),))
@@ -631,9 +674,13 @@ def test_survivors_reject_a_resolution_that_reads_a_loop(monkeypatch, fault):
 # ----------------------------------------------------------------------
 
 def reference_result(pairs):
-    gens = tuple(sorted(pairs))
-    dims = Counter(g.degree for g in gens)
-    return HomologyResult(dims=dict(sorted(dims.items())), generators=gens)
+    psis = {}
+    for degree, psi in sorted(pairs):
+        psis.setdefault(degree, []).append(psi)
+    return HomologyResult(
+        dims={k: len(c) for k, c in psis.items()},
+        psis={k: tuple(c) for k, c in psis.items()},
+    )
 
 
 def reference_closed_form(d, n):
