@@ -35,10 +35,12 @@ Labelling the Seifert circles with two labels gives a coloring free at
 every crossing, so the chain dimension is at least 2^k * n^loops for k
 crossings: that bound refuses a diagram before the walk starts, and is
 the only gate on the crossing count.
-The resolution-based ``enumerate_admissible`` stays the oracle for that
-walk (``DeformedComplex.check_states``), and ``matched_pairs`` the
-classifying reference for the entries.  d o d, the ranks and rescaling run
-block by block.
+The complex keeps the walk's colorings; each vertex is resolved only to
+read its states off them.  The resolution-based ``enumerate_admissible``
+stays the oracle for that walk (``DeformedComplex.check_states``, which
+resolves every vertex anew), and ``matched_pairs`` the classifying
+reference for the entries.  d o d, the ranks and rescaling run block by
+block.
 """
 
 from __future__ import annotations
@@ -177,13 +179,16 @@ class DeformedComplex:
     crossings outer, members inner), so the entries across the block's first
     free crossing come first; the matching in ``homology.matrix_rank``
     relies on that order.  ``block_of`` gives each basis element its
-    arc-coloring block id, or None if no entry touches it.
+    arc-coloring block id, or None if no entry touches it.  ``colorings``
+    keeps the walk's (labels, free, ones) triples in walk order, ``labels``
+    aligned with ``diagram.arcs`` (see ``_arc_colorings``); a coloring with
+    no free crossing is a cube of one member, which no block holds.
     """
 
     diagram: LinkDiagram
     n: int
     field: CycloField
-    resolutions: dict[tuple[int, ...], Resolution]
+    colorings: list[tuple[tuple[int, ...], int, int]]
     degrees: tuple[int, ...]
     basis: dict[int, tuple[ChainBasisElement, ...]]
     blocks: dict[int, dict[int, dict[tuple[int, int], int | CycloNumber]]]
@@ -251,8 +256,9 @@ class DeformedComplex:
         for k in self.degrees:
             for el in self.basis[k]:
                 found.setdefault(el.vertex, []).append(el.state)
-        for v, r in self.resolutions.items():
-            if tuple(found.get(v, ())) != enumerate_admissible(r, self.n):
+        d = self.diagram
+        for v in product((0, 1), repeat=len(d.crossings)):
+            if tuple(found.get(v, ())) != enumerate_admissible(resolve(d, v), self.n):
                 return v
         return None
 
@@ -411,9 +417,8 @@ def build_complex(
     colorings = _arc_colorings(d, n, max_chain_dim)
 
     vertices = list(product((0, 1), repeat=k))  # vertex mask m is vertices[m]
-    resolutions = {v: resolve(d, v) for v in vertices}
     vdeg = [vertex_degree(d, v) for v in vertices]
-    read = [reader(r.reads[d.free_loops:]) for r in resolutions.values()]  # loops lead
+    read = [reader(resolve(d, v).reads[d.free_loops:]) for v in vertices]  # loops lead
 
     # each member's arc state at its vertex, beside its member number
     # (colorings in order, each cube's members in subset order)
@@ -461,7 +466,7 @@ def build_complex(
         if free:
             cubes.append((ones, place[first], first, free))
         first += 1 << free.bit_count()
-    del colorings, states, members
+    del states, members
     cubes.sort()
 
     block_of = {k_: [None] * len(b) for k_, b in basis.items()}
@@ -493,7 +498,7 @@ def build_complex(
         diagram=d,
         n=n,
         field=CycloField(n),
-        resolutions=resolutions,
+        colorings=colorings,
         degrees=tuple(sorted(basis)),
         basis={k_: tuple(b) for k_, b in basis.items()},
         blocks=blocks,

@@ -20,6 +20,8 @@ bound exceeded.  The bounds gate the work they measure, before it starts:
 ``--max-chain-dim`` the chain dimension of ``homology`` and ``complex``
 (no vertex is resolved past it), and ``--max-raw-states`` the n^4 label
 tuples of ``verify``'s lemma and the raw states of its projector suite.
+``states`` counts its resolution's states against the default chain
+dimension bound before it keeps any.
 Diagrams are given as file paths or bundled fixture names;
 output is deterministic for fixed input and flags.
 """
@@ -33,7 +35,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 from .chain import DEFAULT_MAX_CHAIN_DIM, build_complex, rescale_basis
 from .diagram import DiagramError, LinkDiagram, linking_matrix, parse, writhe
@@ -52,6 +54,7 @@ from .resolution import p_parity, resolve
 from .states import (
     DEFAULT_MAX_RAW_STATES,
     enumerate_admissible,
+    iter_admissible,
     verify_projector_identities,
 )
 
@@ -170,6 +173,12 @@ def cmd_states(
         )
     choice = tuple(int(b) for b in bits)
     r = resolve(d, choice)
+    # counted before any is kept: a state holds a label per thin edge
+    past = islice(iter_admissible(r, cfg.n), cfg.max_chain_dim, None)
+    if next(past, None) is not None:
+        raise SizeBoundError(
+            f"the resolution has more than {cfg.max_chain_dim} admissible states"
+        )
     states = enumerate_admissible(r, cfg.n)
     payload = {
         "diagram": name,

@@ -439,12 +439,6 @@ class CycloNumber:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def as_rational(self) -> Fraction:
-        """The value as a rational, if it lies in the prime field."""
-        if any(self.num[1:]):
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
-
     # -- rendering ---------------------------------------------------------
 
     def __str__(self):

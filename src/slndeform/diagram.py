@@ -127,6 +127,32 @@ def _tokens(text: str) -> list[str]:
     return toks
 
 
+def _crossing_tokens(text: str, token: re.Pattern, kind: str):
+    """The crossings of ``text``, the groups before their arcs, and its ``U`` count.
+
+    Every token is ``U`` or matches ``token``, whose last four groups are
+    the arcs a, b, c, d; a malformed token, or one whose strand re-enters
+    its own slot (a == c or b == d), raises DiagramError.
+    """
+    raw: list[tuple[int, int, int, int]] = []
+    heads: list[tuple[str, ...]] = []
+    free_loops = 0
+    for tok in _tokens(text):
+        if tok == "U":
+            free_loops += 1
+            continue
+        m = token.match(tok)
+        if not m:
+            raise DiagramError(f"malformed {kind} token {tok!r}")
+        *head, a, b, c, d = m.groups()
+        a, b, c, d = int(a), int(b), int(c), int(d)
+        if a == c or b == d:
+            raise DiagramError(f"token {tok!r}: strand re-enters its own slot")
+        raw.append((a, b, c, d))
+        heads.append(tuple(head))
+    return raw, heads, free_loops
+
+
 def _check_arc_occurrences(slot_lists: list[tuple[int, ...]]):
     counts: dict[int, int] = {}
     for slots in slot_lists:
@@ -146,19 +172,7 @@ def _check_arc_occurrences(slot_lists: list[tuple[int, ...]]):
 
 def parse_pd(text: str) -> LinkDiagram:
     """Parse whitespace-separated ``X[a,b,c,d]`` / ``U`` tokens."""
-    raw: list[tuple[int, int, int, int]] = []
-    free_loops = 0
-    for tok in _tokens(text):
-        if tok == "U":
-            free_loops += 1
-            continue
-        m = _PD_TOKEN.match(tok)
-        if not m:
-            raise DiagramError(f"malformed PD token {tok!r}")
-        a, b, c, d = (int(g) for g in m.groups())
-        if a == c or b == d:
-            raise DiagramError(f"token {tok!r}: strand re-enters its own slot")
-        raw.append((a, b, c, d))
+    raw, _, free_loops = _crossing_tokens(text, _PD_TOKEN, "PD")
     return _orient(raw, None, free_loops)
 
 
@@ -242,23 +256,8 @@ def _orient(
 
 def parse_signed(text: str) -> LinkDiagram:
     """Parse ``C[s;a,b,c,d]`` / ``U`` tokens; signs are taken verbatim."""
-    raw: list[tuple[int, int, int, int]] = []
-    signs: list[int] = []
-    free_loops = 0
-    for tok in _tokens(text):
-        if tok == "U":
-            free_loops += 1
-            continue
-        m = _SIGNED_TOKEN.match(tok)
-        if not m:
-            raise DiagramError(f"malformed signed token {tok!r}")
-        s, a, b, c, d = m.groups()
-        a, b, c, d = int(a), int(b), int(c), int(d)
-        if a == c or b == d:
-            raise DiagramError(f"token {tok!r}: strand re-enters its own slot")
-        signs.append(+1 if s == "+" else -1)
-        raw.append((a, b, c, d))
-    return _orient(raw, signs, free_loops)
+    raw, heads, free_loops = _crossing_tokens(text, _SIGNED_TOKEN, "signed")
+    return _orient(raw, [+1 if s == "+" else -1 for s, in heads], free_loops)
 
 
 def parse(text: str) -> LinkDiagram:

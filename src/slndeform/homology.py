@@ -13,13 +13,12 @@
   ceiling rests on d o d = 0, which ``check_d_squared`` checks (run by
   ``cross_validate`` and by ``slndeform verify``).  The generators are the
   one-element blocks: the basis elements that no nonzero entry of any
-  differential touches, marked None in ``block_of``.  The scan takes them
-  in bulk, one vertex run at a time: ``compress`` picks the untouched
-  elements, two itemgetters check once per run that each state is
-  constant on every component, and one itemgetter reads each coloring
-  (``_psi_readers``).  A run that fails the check is read again through
-  ``_survivor_psi``, which names the first bad state.  The colorings are
-  sorted once per degree, into that degree's column.
+  differential touches, marked None in ``block_of``.  Those are exactly
+  the arc colorings with no free crossing (``DeformedComplex.colorings``),
+  and each is read straight off its coloring: its vertex is the mask of
+  its forced 1-bits, whose signed count is the degree, and its coloring of
+  the components is the label at each component's first arc, checked to
+  be constant along every component.
 * ``closed_form``: the combinatorial answer -- one generator per coloring
   of the components by roots of unity, in degree given by the linking
   numbers of the preimage sublinks, n^l generators in total.
@@ -31,9 +30,9 @@
   per choice; the per-coloring loop indexes the coloring through them and
   still checks each induced state.
 
-Free loops are a product factor in both of the last two.  A loop links
-nothing and meets no crossing, so only the colorings of the drawn
-components are computed (and, for the survivors, checked) one by one;
+Free loops are a product factor in all three.  A loop links nothing and
+meets no crossing, so only the colorings of the drawn components are
+computed (and, for the survivors, checked) one by one;
 ``_with_loops`` extends each by every labelling of the loops, which come
 last in psi, into its degree's column, and every column comes out sorted.
 The survivors check that no resolution reads a loop at a tie or a crossing
@@ -57,9 +56,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
-from itertools import compress, groupby, product, repeat
-from operator import add, is_, itemgetter, ne
+from functools import cached_property
+from itertools import groupby, product, repeat
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from .chain import (
@@ -71,7 +70,7 @@ from .chain import (
 )
 from .diagram import LinkDiagram, linking_matrix
 from .errors import InternalCheckError
-from .resolution import Resolution, degree as vertex_degree, reader, records, resolve
+from .resolution import Resolution, degree as vertex_degree, records, resolve
 
 __all__ = [
     "GeneratorDescriptor",
@@ -280,47 +279,6 @@ def closed_form(d: LinkDiagram, n: int) -> HomologyResult:
 # Linear algebra on the complex
 # ----------------------------------------------------------------------
 
-def _psi_layout(r: Resolution) -> tuple[list[int], list[tuple]]:
-    """Where a survivor state of ``r`` keeps its coloring of the components.
-
-    Returns one state slot per component, in component order (free loops
-    last), and the (slot, other slot, component) ties that a state must
-    satisfy to be constant on each component.  Built once per vertex.
-    """
-    d = r.diagram
-    reads, ties = [], []
-    for comp in d.components:
-        first, *rest = dict.fromkeys(r.slot[a] for a in comp)
-        reads.append(first)
-        ties.extend((first, other, comp) for other in rest)
-    reads.extend(r.slot[-(i + 1)] for i in range(d.free_loops))
-    return reads, ties
-
-
-def _survivor_psi(layout: tuple[list[int], list[tuple]], state) -> tuple[int, ...]:
-    """Read a survivor state's coloring through its vertex's ``_psi_layout``."""
-    reads, ties = layout
-    for a, b, comp in ties:
-        if state[a] != state[b]:
-            raise InternalCheckError(
-                f"survivor state {state} is not constant on component {comp}"
-            )
-    return tuple([state[i] for i in reads])
-
-
-def _psi_readers(r: Resolution):
-    """``_psi_layout(r)`` with its reads and the two sides of its ties as getters.
-
-    Returns (layout, psi reader, (first sides, other sides) or None when
-    no tie is to be checked).
-    """
-    layout = reads, ties = _psi_layout(r)
-    sides = None
-    if ties:
-        sides = reader([a for a, _, _ in ties]), reader([b for _, b, _ in ties])
-    return layout, reader(reads), sides
-
-
 def _non_survivor(r: Resolution, state):
     """The first crossing where ``state`` fails to survive, or None.
 
@@ -346,8 +304,9 @@ def compute_homology(cx: DeformedComplex) -> HomologyResult:
     holds only if d o d = 0 and every entry lies in its block, which
     ``check_d_squared`` checks (``cross_validate`` and ``slndeform verify``
     run it; so does the benchmark).  The generator columns are read off the
-    elements of no block; ``cross_validate`` checks they account for every
-    dimension and match the survivor resolutions.
+    arc colorings with no free crossing, the elements of no block, and
+    extended by the loop labellings; ``cross_validate`` checks they account
+    for every dimension and match the survivor resolutions.
     """
     members = {k: Counter(cx.block_of[k]) for k in cx.degrees}  # k -> block -> size
     ranks = Counter()
@@ -370,21 +329,23 @@ def compute_homology(cx: DeformedComplex) -> HomologyResult:
             raise InternalCheckError(f"negative homology dimension in degree {k}")
         if dim:
             dims[k] = dim
-    vertex_field, state_field = itemgetter(0), itemgetter(1)
-    columns = {}
-    for k in cx.degrees:
-        untouched = compress(cx.basis[k], map(is_, cx.block_of[k], repeat(None)))
-        psis = []
-        for vertex, run in groupby(untouched, key=vertex_field):  # one run per vertex
-            layout, read, sides = _psi_readers(cx.resolutions[vertex])
-            states = list(map(state_field, run))
-            if sides and any(map(ne, map(sides[0], states), map(sides[1], states))):
-                read = partial(_survivor_psi, layout)  # raises at the first bad state
-            psis.extend(map(read, states))
-        if psis:
-            psis.sort()
-            columns[k] = tuple(psis)
-    return HomologyResult(dims=dims, psis=columns)
+    d = cx.diagram
+    where = {a: p for p, a in enumerate(d.arcs)}
+    arcs = [[where[a] for a in comp] for comp in d.components]
+    # crossing i is bit k-1-i of a mask
+    signs = [(c.sign, 1 << j) for j, c in enumerate(reversed(d.crossings))]
+    heads = []
+    for labels, free, ones in cx.colorings:
+        if free:
+            continue
+        for comp, (first, *rest) in zip(d.components, arcs):
+            if any(labels[p] != labels[first] for p in rest):
+                raise InternalCheckError(
+                    f"coloring {labels} is not constant on component {comp}"
+                )
+        degree = sum(sign for sign, bit in signs if ones & bit)
+        heads.append((degree, tuple([labels[first] for first, *_ in arcs])))
+    return HomologyResult(dims=dims, psis=_with_loops(heads, cx.n, d.free_loops).psis)
 
 
 # ----------------------------------------------------------------------

@@ -154,7 +154,7 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    # -- substitution and evaluation -------------------------------------
+    # -- substitution ------------------------------------------------------
 
     def substitute(self, mapping: dict[str, "MultiPoly"]) -> "MultiPoly":
         """Plug polynomials in for variables (all images share one tuple)."""
@@ -168,19 +168,6 @@ class MultiPoly:
                     term = term * (mapping[name] ** e)
             acc = acc + term
         return acc
-
-    def evaluate(self, values: dict):
-        """Evaluate at values living in any commutative ring containing Q."""
-        total = None
-        for expo, coeff in sorted(self.terms.items()):
-            term = None
-            for name, e in zip(self.vars, expo):
-                if e:
-                    factor = values[name] ** e
-                    term = factor if term is None else term * factor
-            term = coeff if term is None else term * coeff
-            total = term if total is None else total + term
-        return Fraction(0) if total is None else total
 
     # -- exact division ----------------------------------------------------
 

@@ -84,9 +84,6 @@ class Resolution:
     def _readers(self):
         return reader(self.reads), reader(self.ties[0]), reader(self.ties[1])
 
-    def thin_of(self, arc: int) -> int:
-        return self.thin_edges[self.slot[arc]]
-
     def local_values(self, state, c: Crossing) -> tuple:
         """Labels at slots 1..4 of crossing c (valid for either bit)."""
         slot = self.slot
@@ -107,17 +104,6 @@ class Resolution:
         if first(coloring) != other(coloring):
             return None
         return read(coloring)
-
-    def to_json(self) -> dict:
-        return {
-            "choice": "".join(str(b) for b in self.choice),
-            "thin_edges": list(self.thin_edges),
-            "thick_edges": [
-                {"crossing": t.crossing, "slots": list(t.slots)}
-                for t in self.thick_edges
-            ],
-            "circles": list(self.circles),
-        }
 
 
 class _UnionFind:

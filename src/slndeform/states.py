@@ -18,11 +18,11 @@ still shows in the checks.
 States are label tuples aligned with ``resolution.thin_edges`` (which is
 sorted), and all enumerations are in lexicographic order.
 ``enumerate_admissible`` uses the local lemma: each thick edge of an
-admissible state is straight or crossed, never both, so it runs over the
-choices of one pairing per thick edge that keep slots 1 and 2 apart and
-colours the thin-edge classes each choice forms.  It never walks the
-n^(#thin) raw states; dead ends remain only where a partial colouring
-fails at a later class (an odd cycle of classes at n = 2, say).
+admissible state is straight or crossed, never both, with slots 1 and 2
+apart, so ``iter_admissible`` walks the thick edges choosing one pairing
+at each and labelling the positions it meets first there.  It never walks
+the n^(#thin) raw states; dead ends remain only where a later thick edge
+sees labels that fit neither pairing (an odd cycle at n = 2, say).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "StateFunction",
     "ProjectorReport",
     "enumerate_admissible",
+    "iter_admissible",
     "generator_action",
     "idempotent",
     "verify_projector_identities",
@@ -54,70 +55,89 @@ DEFAULT_MAX_RAW_STATES = 6561
 
 
 def enumerate_admissible(r: Resolution, n: int) -> tuple[State, ...]:
-    """All admissible states, lexicographically ordered.
-
-    A thick edge of an admissible state is straight (l1=l3, l2=l4) or
-    crossed (l1=l4, l2=l3), never both, with l1 != l2.  Enumeration picks
-    one pairing per thick edge, merging state positions into classes, and
-    drops a partial choice as soon as slots 1 and 2 of some thick edge fall
-    into one class.  The states of a complete choice are the proper
-    n-colourings of its classes, two classes being adjacent when they meet
-    at slots 1 and 2 of a thick edge; circles are classes of their own and
-    take every label.  Distinct choices give disjoint sets of states, which
-    are sorted once at the end.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    edges = [tuple(r.slot[s] for s in t.slots) for t in r.thick_edges]
-    apart = [(p1, p2) for p1, p2, _, _ in edges]
-    out: list[State] = []
-
-    def choose(i: int, cls: list[int]):
-        if i == len(edges):
-            out.extend(_colourings(cls, apart, n))
-            return
-        p1, p2, p3, p4 = edges[i]
-        for pairs in (((p1, p3), (p2, p4)), ((p1, p4), (p2, p3))):
-            merged = cls
-            for x, y in pairs:
-                x, y = sorted((merged[x], merged[y]))
-                if x != y:
-                    merged = [x if c == y else c for c in merged]
-            if all(merged[a] != merged[b] for a, b in apart):
-                choose(i + 1, merged)
-
-    # cls[p] is the smallest position in p's class
-    choose(0, list(range(len(r.thin_edges))))
-    del choose  # it refers to itself: a cycle that would keep ``out`` alive
+    """All admissible states, lexicographically ordered (``iter_admissible``)."""
+    out = list(iter_admissible(r, n))
     out.sort()
     return tuple(out)
 
 
-def _colourings(cls: list[int], apart, n: int) -> list[State]:
-    """The states of one pairing choice: proper n-colourings of its classes.
+def iter_admissible(r: Resolution, n: int):
+    """Every admissible state of ``r`` once, depth first, each a new tuple.
 
-    Classes are coloured in order of their smallest position, each taking
-    every label its already coloured neighbours do not have.
+    A thick edge of an admissible state is straight (l1=l3, l2=l4) or
+    crossed (l1=l4, l2=l3), never both, with l1 != l2: two groups of slots,
+    one label each, the two labels distinct.  The walk takes the thick edges
+    one at a time, next the one that shares the most positions already
+    labelled, and tries both pairings at it, labelling only the positions
+    new there: a pairing whose groups share a new position admits nothing,
+    and a group's label is forced by any of its positions labelled at an
+    earlier step.  Circles meet no thick edge and take every label.  A step
+    costs the positions it labels, not the whole state, so a count stopped
+    at a bound (``slndeform states``) walks only that many states.
     """
-    index = {x: j for j, x in enumerate(sorted(set(cls)))}
-    earlier: list[set[int]] = [set() for _ in index]
-    for a, b in apart:
-        a, b = sorted((index[cls[a]], index[cls[b]]))
-        earlier[b].add(a)
-    partial: list[tuple] = [()]
-    for before in earlier:
-        if not before:
-            partial = [c + (v,) for c in partial for v in range(n)]
-            continue
-        grown = []
-        for c in partial:
-            used = {c[k] for k in before}
-            grown.extend([c + (v,) for v in range(n) if v not in used])
-        partial = grown
-    if len(index) == len(cls):
-        return partial  # every position is a class of its own
-    at = [index[x] for x in cls]
-    return [tuple([c[j] for j in at]) for c in partial]
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    edges = [tuple(r.slot[s] for s in t.slots) for t in r.thick_edges]
+    # per step, its pairings: for each of the two groups, (its positions
+    # labelled at earlier steps, its positions labelled here)
+    plan, seen, left = [], set(), list(range(len(edges)))
+    while left:
+        i = max(left, key=lambda j: len(seen.intersection(edges[j])))
+        left.remove(i)
+        p1, p2, p3, p4 = edges[i]
+        pairings = []
+        for groups in (((p1, p3), (p2, p4)), ((p1, p4), (p2, p3))):
+            split = [
+                (tuple(p for p in g if p in seen),
+                 tuple(dict.fromkeys(p for p in g if p not in seen)))
+                for g in groups
+            ]
+            if not set(split[0][1]).intersection(split[1][1]):
+                pairings.append(split)
+        plan.append(pairings)
+        seen.update(edges[i])
+
+    labels = [0] * len(r.thin_edges)
+    circles = [p for p in range(len(labels)) if p not in seen]
+    every = range(n)
+
+    def options(known):
+        if not known:
+            return every
+        x = labels[known[0]]
+        for p in known:
+            if labels[p] != x:
+                return ()
+        return (x,)
+
+    def moves(step):
+        """Label the positions new at ``step``, one pairing and label pair at a time."""
+        for (known1, fresh1), (known2, fresh2) in plan[step]:
+            ys = options(known2)  # labelled at earlier steps, so not by x
+            for x in options(known1):
+                for p in fresh1:
+                    labels[p] = x
+                for y in ys:
+                    if y != x:
+                        for p in fresh2:
+                            labels[p] = y
+                        yield
+
+    # below the root (one way to label nothing), one suspended ``moves`` per
+    # step entered; a step labels only its own new positions, so each
+    # resumes on the labels it left
+    stack = [iter((None,))]
+    while stack:
+        for _ in stack[-1]:
+            if len(stack) <= len(plan):
+                stack.append(moves(len(stack) - 1))
+                break
+            for chosen in product(every, repeat=len(circles)):
+                for p, x in zip(circles, chosen):
+                    labels[p] = x
+                yield tuple(labels)
+        else:
+            stack.pop()
 
 
 def iter_raw_states(r: Resolution, n: int, max_raw_states: int = DEFAULT_MAX_RAW_STATES):

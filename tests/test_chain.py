@@ -67,14 +67,10 @@ def test_type2_states_match_nothing_downward():
     pairs = matched_pairs(r0, r1, 0, 2)
     assert len(pairs) == 2
     matched1 = {s1 for _, s1 in pairs}
-    pos1 = {e: i for i, e in enumerate(r1.thin_edges)}
     c = d.crossings[0]
     for s in enumerate_admissible(r1, 2):
-        values = (
-            s[pos1[r1.thin_of(c.out_over)]],
-            s[pos1[r1.thin_of(c.out_under)]],
-            s[pos1[r1.thin_of(c.in_under)]],
-            s[pos1[r1.thin_of(c.in_over)]],
+        values = tuple(
+            s[r1.slot[a]] for a in (c.out_over, c.out_under, c.in_under, c.in_over)
         )
         kind = classify_local(values, 1)
         assert (s in matched1) == (kind is LocalType.TYPE1)
@@ -236,11 +232,12 @@ def _assert_entries_are_matched_pairs(cx):
             low, high = sorted(ends, key=lambda el: el.vertex)
             ci = next(i for i, bit in enumerate(low.vertex) if bit != high.vertex[i])
             on_edge.setdefault((low.vertex, ci), set()).add((low.state, high.state))
-    for v, r0 in cx.resolutions.items():
+    d = cx.diagram
+    for v in product((0, 1), repeat=len(d.crossings)):
         for ci, bit in enumerate(v):
             if bit == 0:
                 w = v[:ci] + (1,) + v[ci + 1:]
-                pairs = matched_pairs(r0, cx.resolutions[w], ci, cx.n)
+                pairs = matched_pairs(resolve(d, v), resolve(d, w), ci, cx.n)
                 assert on_edge.pop((v, ci), set()) == set(pairs), (v, ci)
     assert not on_edge
 
@@ -313,15 +310,10 @@ def test_differential_entries_retain_all_arc_labels():
         for (t, s) in entries:
             src = cx.basis[k][s]
             tgt = cx.basis[k + 1][t]
-            r_s = cx.resolutions[src.vertex]
-            r_t = cx.resolutions[tgt.vertex]
-            pos_s = {e: i for i, e in enumerate(r_s.thin_edges)}
-            pos_t = {e: i for i, e in enumerate(r_t.thin_edges)}
+            r_s = resolve(d, src.vertex)
+            r_t = resolve(d, tgt.vertex)
             for arc in list(d.arcs) + [-1]:
-                assert (
-                    src.state[pos_s[r_s.thin_of(arc)]]
-                    == tgt.state[pos_t[r_t.thin_of(arc)]]
-                )
+                assert src.state[r_s.slot[arc]] == tgt.state[r_t.slot[arc]]
 
 
 def test_cube_squares_carry_both_paths_or_neither():

@@ -11,6 +11,7 @@ from test_states import _torus_pd
 from slndeform import chain, cli, homology
 from slndeform.cli import RunConfig, main
 from slndeform.cyclotomic import CycloNumber
+from slndeform.diagram import parse_pd
 from slndeform.errors import SizeBoundError
 
 HOMOLOGY_SCHEMA = {
@@ -338,6 +339,35 @@ def test_states_json_schema(capsys):
     jsonschema.validate(payload, STATES_SCHEMA)
     assert payload["admissible_count"] == 4
     assert len(payload["states"]) == 4
+
+
+def test_states_past_the_bound_exits_3_before_any_state_is_kept(tmp_path, capsys, monkeypatch):
+    # T(2,1001) at n = 2: 2^1001 states at the all-ones vertex, a walk
+    # 1001 thick edges deep; counted up to the bound, never listed
+    def never(*args):
+        raise AssertionError("the states were enumerated")
+
+    config = cli._config
+    monkeypatch.setattr(cli, "_config", lambda args: replace(config(args), max_chain_dim=1000))
+    monkeypatch.setattr(cli, "enumerate_admissible", never)
+    f = tmp_path / "t21001.pd"
+    f.write_text(_torus_pd(1001))
+    code, out, err = _run(capsys, "states", str(f), "--n", "2", "--resolution", "1" * 1001)
+    assert code == 3 and out == ""
+    assert err == "size bound exceeded: the resolution has more than 1000 admissible states\n"
+
+
+def test_states_bound_counts_the_states_exactly(capsys):
+    # T(2,11) at n = 2 has 2^11 states at the all-ones vertex; T(2,21) 2^21
+    d = parse_pd(_torus_pd(11))
+    assert cli.cmd_states("t", d, "1" * 11, False, RunConfig(n=2, max_chain_dim=2048)) == 0
+    assert "admissible states (n = 2): 2048" in capsys.readouterr().out
+    for k, bound in ((11, 2047), (21, 2**14)):
+        with pytest.raises(SizeBoundError, match=f"more than {bound} admissible states"):
+            cli.cmd_states(
+                "t", parse_pd(_torus_pd(k)), "1" * k, False, RunConfig(n=2, max_chain_dim=bound)
+            )
+    assert capsys.readouterr().out == ""
 
 
 def test_states_rejects_options_it_does_not_read(capsys):

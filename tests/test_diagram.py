@@ -50,6 +50,27 @@ def test_strand_reentering_own_slot_rejected():
         parse_pd("X[1,2,1,2]")
 
 
+@pytest.mark.parametrize("parser,text,message", [
+    (parse_pd, "X[1,2,3]", "malformed PD token 'X[1,2,3]'"),
+    (parse_pd, "X[1,2,2,1] C[+;1,2,2,1]", "malformed PD token 'C[+;1,2,2,1]'"),
+    (parse_signed, "C[+;1,2,3]", "malformed signed token 'C[+;1,2,3]'"),
+    (parse_signed, "U X[1,2,2,1]", "malformed signed token 'X[1,2,2,1]'"),
+    (parse_pd, "U X[1,2,1,2]", "token 'X[1,2,1,2]': strand re-enters its own slot"),
+    (parse_signed, "C[-;1,2,3,2]", "token 'C[-;1,2,3,2]': strand re-enters its own slot"),
+    (parse_pd, " ", "empty diagram input"),
+    (parse_signed, "", "empty diagram input"),
+])
+def test_token_errors_of_both_formats(parser, text, message):
+    with pytest.raises(DiagramError) as exc:
+        parser(text)
+    assert str(exc.value) == message
+
+
+def test_signed_signs_are_read_per_token_beside_loops():
+    d = parse_signed("U C[+;1,3,2,4] U C[\u2212;3,1,4,2]")
+    assert [c.sign for c in d.crossings] == [1, -1] and d.free_loops == 2
+
+
 def test_inconsistent_orientation_rejected():
     # arc 5 would have to end at both crossings
     with pytest.raises(DiagramError):

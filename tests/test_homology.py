@@ -13,14 +13,12 @@ from slndeform.chain import ChainBasisElement, LocalType, build_complex, rescale
 from slndeform import homology
 from slndeform.cyclotomic import CycloField
 from slndeform.diagram import linking_matrix, parse, parse_pd, parse_signed, render_signed
-from slndeform.errors import InternalCheckError
+from slndeform.errors import InternalCheckError, SizeBoundError
 from slndeform.fixtures import FIXTURES, fixture, fixture_names
 from slndeform.homology import (
     GeneratorDescriptor,
     HomologyResult,
     _non_survivor,
-    _psi_layout,
-    _survivor_psi,
     closed_form,
     compute_homology,
     cross_validate,
@@ -407,7 +405,7 @@ def _assert_block_ranks_match(cx):
     scan = []
     for k in cx.degrees:
         for el in cx.basis[k]:
-            r = cx.resolutions[el.vertex]
+            r = resolve(cx.diagram, el.vertex)
             if _non_survivor(r, el.state) is None:
                 psi = _survivor_psi(_psi_layout(r), el.state)
                 scan.append(GeneratorDescriptor(k, psi))
@@ -482,7 +480,7 @@ def test_block_of_is_the_arc_coloring_partition(code, n):
         for i, (el, b) in enumerate(zip(cx.basis[k], cx.block_of[k])):
             assert (b is None) == (i not in touched[k]), (k, el)
             if b is not None:
-                coloring = cx.resolutions[el.vertex].coloring(el.state)
+                coloring = resolve(cx.diagram, el.vertex).coloring(el.state)
                 assert block_of_coloring.setdefault(coloring, b) == b, (k, el)
     # equal colorings share a block id, and distinct colorings never do
     assert len(set(block_of_coloring.values())) == len(block_of_coloring)
@@ -554,19 +552,25 @@ def test_records_are_immutable_named_tuples_ordered_by_their_fields():
     assert sorted(gens) == [gens[3], gens[2], gens[1], gens[0]]
 
 
+def _with_coloring(cx, i, labels):
+    """``cx`` with its ``i``-th arc coloring relabelled to ``labels``."""
+    colorings = list(cx.colorings)
+    _, free, ones = colorings[i]
+    colorings[i] = (tuple(labels), free, ones)
+    return replace(cx, colorings=colorings)
+
+
 def test_generator_scan_rejects_a_state_not_constant_on_a_component():
     cx = build_complex(fixture("trefoil_right"), 2)
-    k, i = next(
-        (k, i) for k in cx.degrees for i, b in enumerate(cx.block_of[k])
-        if b is None and len(cx.resolutions[cx.basis[k][i].vertex].thin_edges) > 1
+    i, labels = next(
+        (i, labels) for i, (labels, free, _) in enumerate(cx.colorings) if not free
     )
-    el = cx.basis[k][i]
-    # the knot's one component runs through every thin edge: relabel the first
-    state = (1 - el.state[0],) + el.state[1:]
-    basis = dict(cx.basis)
-    basis[k] = basis[k][:i] + (el._replace(state=state),) + basis[k][i + 1:]
-    with pytest.raises(InternalCheckError, match="is not constant on component"):
-        compute_homology(replace(cx, basis=basis))
+    # the knot's one component runs through every arc: relabel the last
+    bad = labels[:-1] + (1 - labels[-1],)
+    comp = cx.diagram.components[0]
+    message = re.escape(f"coloring {bad} is not constant on component {comp}")
+    with pytest.raises(InternalCheckError, match=message):
+        compute_homology(_with_coloring(cx, i, bad))
 
 
 def test_survivors_reject_an_ill_defined_induced_state(monkeypatch):
@@ -590,21 +594,18 @@ HOPF_U3 = "C[+;1,2,3,4] C[+;4,3,2,1] U U U"
 
 def test_generator_scan_with_loops_rejects_a_state_not_constant_on_a_component():
     cx = build_complex(parse(HOPF_U3), 2)
-    # an untouched element whose vertex ties two thin edges of one component
-    k, i, (first, _, comp) = next(
-        (k, i, ties[0])
-        for k in cx.degrees
-        for i, (el, b) in enumerate(zip(cx.basis[k], cx.block_of[k]))
-        if b is None and (ties := _psi_layout(cx.resolutions[el.vertex])[1])
+    d = cx.diagram
+    assert d.free_loops == 3
+    # a free-less coloring, relabelled on the second arc of a component
+    i, labels = next(
+        (i, labels) for i, (labels, free, _) in enumerate(cx.colorings) if not free
     )
-    el = cx.basis[k][i]
-    state = list(el.state)
-    state[first] = 1 - state[first]  # an arc's thin edge, not a loop
-    basis = dict(cx.basis)
-    basis[k] = basis[k][:i] + (el._replace(state=tuple(state)),) + basis[k][i + 1:]
+    comp = next(comp for comp in d.components if len(comp) > 1)
+    p = d.arcs.index(comp[1])
+    bad = labels[:p] + (1 - labels[p],) + labels[p + 1:]
     message = re.escape(f"is not constant on component {comp}")
     with pytest.raises(InternalCheckError, match=message):
-        compute_homology(replace(cx, basis=basis))
+        compute_homology(_with_coloring(cx, i, bad))
 
 
 def test_survivors_with_loops_reject_an_ill_defined_induced_state(monkeypatch):
@@ -713,7 +714,33 @@ def reference_survivors(d, n):
     return reference_result(gens)
 
 
+def _psi_layout(r):
+    """Where a survivor state of ``r`` keeps its coloring of the components.
+
+    Returns one state slot per component, in component order (free loops
+    last), and the (slot, other slot, component) ties that a state must
+    satisfy to be constant on each component.
+    """
+    d = r.diagram
+    reads, ties = [], []
+    for comp in d.components:
+        first, *rest = dict.fromkeys(r.slot[a] for a in comp)
+        reads.append(first)
+        ties.extend((first, other, comp) for other in rest)
+    reads.extend(r.slot[-(i + 1)] for i in range(d.free_loops))
+    return reads, ties
+
+
+def _survivor_psi(layout, state):
+    """Read a survivor state's coloring through its vertex's ``_psi_layout``."""
+    reads, ties = layout
+    for a, b, comp in ties:
+        assert state[a] == state[b], (state, comp)
+    return tuple([state[i] for i in reads])
+
+
 def reference_generator_scan(cx):
+    """The generators read off the states of the elements of no block."""
     layouts = {}
     gens = []
     for k in cx.degrees:
@@ -721,7 +748,7 @@ def reference_generator_scan(cx):
             if b is None:
                 layout = layouts.get(vertex)
                 if layout is None:
-                    layout = layouts[vertex] = _psi_layout(cx.resolutions[vertex])
+                    layout = layouts[vertex] = _psi_layout(resolve(cx.diagram, vertex))
                 gens.append(GeneratorDescriptor(k, _survivor_psi(layout, state)))
     gens.sort()
     return tuple(gens)
@@ -767,6 +794,20 @@ def test_loop_factor_matches_the_per_coloring_loops_on_braid_closures(d, n, loop
     cases = _beside_loops(render_signed(d), n)
     assume(len(cases) > loops)
     _assert_per_coloring_equivalence(cases[loops][1], n)
+
+
+@settings(max_examples=30)
+@given(braid_diagrams(), st.sampled_from((2, 3, 4)))
+def test_generators_read_off_the_colorings_are_the_state_scan(d, n):
+    # the colorings with no free crossing against the untouched elements'
+    # states, read through each vertex's resolution
+    try:
+        cx = build_complex(d, n, max_chain_dim=20_000)
+    except SizeBoundError:
+        assume(False)
+    free_less = [c for c in cx.colorings if not c[1]]
+    assert len(free_less) * n**d.free_loops == sum(b.count(None) for b in cx.block_of.values())
+    assert compute_homology(cx).generators == reference_generator_scan(cx)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Resolution graphs, circle parity and cube-vertex degrees."""
 
+import json
 from itertools import product
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_states import braid_diagrams
 
+from slndeform.cli import main
 from slndeform.diagram import Crossing, LinkDiagram, parse_pd
 from slndeform.errors import InternalCheckError
 from slndeform.fixtures import fixture, fixture_names
@@ -134,17 +136,22 @@ def test_smoothing_pairs_slots_13_and_24():
     r0 = resolve(d, (0, 1, 1))
     r1 = resolve(d, (1, 1, 1))
     t = next(t for t in r1.thick_edges if t.crossing == 0)
-    assert r0.thin_of(d.crossings[0].in_under) == r0.thin_of(d.crossings[0].out_over)
-    assert r0.thin_of(d.crossings[0].in_over) == r0.thin_of(d.crossings[0].out_under)
-    assert t.slots[0] == r1.thin_of(d.crossings[0].out_over)
-    assert t.slots[2] == r1.thin_of(d.crossings[0].in_under)
+    c = d.crossings[0]
+    assert r0.slot[c.in_under] == r0.slot[c.out_over]
+    assert r0.slot[c.in_over] == r0.slot[c.out_under]
+    assert t.slots[0] == r1.thin_edges[r1.slot[c.out_over]]
+    assert t.slots[2] == r1.thin_edges[r1.slot[c.in_under]]
 
 
-def test_resolution_json_shape():
+def test_resolution_json_shape(capsys):
+    # ``slndeform states`` is where a resolution is written out as JSON
     r = resolve(fixture("hopf_pos"), (1, 0))
-    blob = r.to_json()
-    assert blob["choice"] == "10"
-    assert set(blob) == {"choice", "thin_edges", "thick_edges", "circles"}
+    assert main(["states", "hopf_pos", "--resolution", "10", "--format", "json"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["resolution"] == "10"
+    assert blob["thin_edges"] == list(r.thin_edges)
+    assert blob["thick_edges"] == [list(t.slots) for t in r.thick_edges]
+    assert blob["circles"] == list(r.circles)
 
 
 def test_slot_maps_arcs_then_loops_to_their_thin_edge_index():
@@ -153,7 +160,9 @@ def test_slot_maps_arcs_then_loops_to_their_thin_edge_index():
         loops = [-(i + 1) for i in range(d.free_loops)]
         assert list(r.slot) == list(d.arcs) + loops, (name, r.choice)
         for a, i in r.slot.items():
-            assert i == r.thin_edges.index(r.thin_of(a)), (name, r.choice, a)
+            assert r.thin_edges[i] == (a if a < 0 else min(
+                b for b in d.arcs if r.slot[b] == i
+            )), (name, r.choice, a)
 
 
 def test_local_values_read_the_thick_edge_slots():
@@ -177,7 +186,7 @@ def test_state_of_rejects_two_labels_on_one_thin_edge():
     coloring = r.coloring((0,) * len(r.thin_edges))
     # two arcs of one thin edge, told apart by the label of the second
     keys = list(r.slot)
-    a = next(a for a in keys if a != r.thin_of(a))
+    a = next(a for a in keys if a != r.thin_edges[r.slot[a]])
     broken = list(coloring)
     broken[keys.index(a)] = 1
     assert r.state_of(coloring) == (0,) * len(r.thin_edges)

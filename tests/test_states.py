@@ -14,6 +14,7 @@ from slndeform.errors import SizeBoundError
 from slndeform.fixtures import fixture, fixture_names
 from slndeform.potential import admissible_tuple, u1_poly, u2_poly
 from slndeform.resolution import resolve
+from test_potential import evaluate
 from slndeform.states import (
     StateAlgebra,
     enumerate_admissible,
@@ -135,6 +136,30 @@ def braid_diagrams(draw, max_letters=6):
     return parse_signed(" ".join(tokens + ["U"] * circles))
 
 
+def _kink_chain(m):
+    """One circle with m positive kinks in series: X[2j+1, 2j+2, 2j+2, 2j+3] mod 2m."""
+    return " ".join(
+        f"X[{2 * j + 1},{2 * j + 2},{2 * j + 2},{(2 * j + 2) % (2 * m) + 1}]" for j in range(m)
+    )
+
+
+def test_enumeration_walks_a_thousand_thick_edges():
+    # every crossing of 1001 kinks thick: a walk 1001 steps deep that ends
+    # in two states at n = 2
+    d = parse_pd(_kink_chain(1001))
+    r = resolve(d, (1,) * 1001)
+    states = enumerate_admissible(r, 2)
+    assert len(states) == 2 and len(states[0]) == 2002
+    for s in states:
+        for t in r.thick_edges:
+            values = r.local_values(s, d.crossings[t.crossing])
+            assert classify_local(values, 1) in (LocalType.TYPE1, LocalType.TYPE2)
+    for m in (1, 2, 3, 4):
+        r = resolve(parse_pd(_kink_chain(m)), (1,) * m)
+        assert len(enumerate_admissible(r, 2)) == 2
+        assert list(enumerate_admissible(r, 3)) == _brute_force_states(r, 3)
+
+
 def test_enumeration_leaves_no_reference_cycle():
     r = resolve(fixture("trefoil_right"), (1, 1, 1))
     gc.collect()
@@ -177,7 +202,7 @@ def test_generator_action_unknown_edge():
         generator_action(99, r, 2)
     # arc 3 lies on the thin edge named by arc 1, so it names no thin edge
     r = resolve(fixture("hopf_pos"), (0, 0))
-    assert r.thin_of(3) == 1
+    assert r.thin_edges[r.slot[3]] == 1
     with pytest.raises(KeyError):
         generator_action(3, r, 2)
 
@@ -206,8 +231,8 @@ def test_thick_edge_relations_act_as_zero():
                 assert (x1 + x2 - x3 - x4).is_zero
                 assert (x1 * x2 - x3 * x4).is_zero
                 values = {"x1": x1, "x2": x2, "x3": x3, "x4": x4}
-                assert (u1_poly(n).evaluate(values) - shift).is_zero
-                u2val = u2_poly(n).evaluate(values)
+                assert (evaluate(u1_poly(n), values) - shift).is_zero
+                u2val = evaluate(u2_poly(n), values)
                 assert (u2val * algebra.one).is_zero
 
 
