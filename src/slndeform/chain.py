@@ -25,20 +25,20 @@ complex does not take it; the lemma and the projectors read it.
 ints or field elements alike; on a rescaled complex every product and every
 cancelling sum of a square is again a monomial, computed in ints.
 
-The differential keeps every arc's label, so the complex splits into one
-block per arc coloring, stored as ``DeformedComplex.blocks``: the cube over
-the crossings free for that coloring.  ``build_complex`` takes the cubes
-from one walk over the arc colorings of the diagram (``_arc_colorings``),
-which also counts the chain dimension, so ``max_chain_dim`` stops a run
-before any vertex is resolved; no per-vertex state search is involved.
-Labelling the Seifert circles with two labels gives a coloring free at
-every crossing, so the chain dimension is at least 2^k * n^loops for k
-crossings: that bound refuses a diagram before the walk starts, and is
-the only gate on the crossing count.
-The complex keeps the walk's colorings; each vertex is resolved only to
-read its states off them.  The resolution-based ``enumerate_admissible``
-stays the oracle for that walk (``DeformedComplex.check_states``, which
-resolves every vertex anew), and ``matched_pairs`` the classifying
+The differential keeps every arc's label, so the complex is a direct sum
+of blocks, one per arc coloring: the cube over the crossings free for it.
+Its entries depend only on the cube (the forced-one and free crossings),
+so ``DeformedComplex.blocks`` stores each cube's local matrices once, and
+a block adds only its members.  ``build_complex`` takes the cubes from one
+walk over the arc colorings (``_arc_colorings``), which also counts the
+chain dimension, so ``max_chain_dim`` stops a run before any vertex is
+resolved.  Labelling the Seifert circles with two labels gives a coloring
+free at every crossing, so the chain dimension is at least 2^k * n^loops
+for k crossings: that bound refuses a diagram before the walk starts, and
+is the only gate on the crossing count.  Each vertex is resolved only to
+read its states off the colorings; the resolution-based
+``enumerate_admissible`` stays the oracle for that walk
+(``DeformedComplex.check_states``), and ``matched_pairs`` the classifying
 reference for the entries.  d o d, the ranks and rescaling run block by
 block.
 """
@@ -48,8 +48,8 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, replace
-from itertools import groupby, islice, product, repeat, starmap
-from operator import add, eq, itemgetter
+from itertools import islice, product, repeat, starmap
+from operator import add, eq
 from typing import NamedTuple
 
 from .cyclotomic import CycloField, CycloNumber
@@ -63,6 +63,7 @@ __all__ = [
     "classify_local",
     "matched_pairs",
     "ChainBasisElement",
+    "Block",
     "DeformedComplex",
     "build_complex",
     "rescale_basis",
@@ -166,23 +167,32 @@ class ChainBasisElement(NamedTuple):
     degree: int
 
 
+class Block(NamedTuple):
+    """An arc-coloring block: its members per degree and its local matrices.
+
+    ``members[k]`` holds the global basis indices of the block's degree-k
+    members, in ascending order.  ``d[k]`` is {(row, column): value}, the
+    row a position in ``members[k + 1]`` and the column one in ``members[k]``.
+    """
+
+    members: dict[int, tuple[int, ...]]
+    d: dict[int, dict[tuple[int, int], int | CycloNumber]]
+
+
 @dataclass
 class DeformedComplex:
-    """Basis lists per degree plus the sparse integral differential.
+    """Basis lists per degree plus the differential in direct-sum form.
 
-    ``blocks`` holds the nonzero entries, as block id -> degree k ->
-    {(target, source): value}, indexed like the whole bases of degrees k+1
-    and k; no block holds an empty degree.  A value is the int 1 or -1 as
-    ``build_complex`` stores it, and a ``Monomial`` (a ``CycloNumber`` whose
-    ``num``/``den`` are built on first read) after rescaling.
-    ``build_complex`` files each block's entries crossing-major (free
-    crossings outer, members inner), so the entries across the block's first
-    free crossing come first; the matching in ``homology.matrix_rank``
-    relies on that order.  ``block_of`` gives each basis element its
-    arc-coloring block id, or None if no entry touches it.  ``colorings``
-    keeps the walk's (labels, free, ones) triples in walk order, ``labels``
-    aligned with ``diagram.arcs`` (see ``_arc_colorings``); a coloring with
-    no free crossing is a cube of one member, which no block holds.
+    ``blocks`` holds a ``Block`` per arc coloring with a free crossing and
+    labelling of the free loops, in walk order; no block holds an empty
+    degree.  A value is the int 1 or -1 from ``build_complex``, and a
+    ``Monomial`` after rescaling.  Blocks of one cube share their ``d``:
+    never edit a ``d`` in place, replace the block.  Each ``d[k]`` is filed
+    crossing-major (free crossings outer, members inner), an order the
+    matching in ``homology.matrix_rank`` relies on.  ``colorings`` keeps
+    the walk's (labels, free, ones) triples in walk order (see
+    ``_arc_colorings``); a coloring with no free crossing is a cube of one
+    member, which no block holds.
     """
 
     diagram: LinkDiagram
@@ -191,16 +201,16 @@ class DeformedComplex:
     colorings: list[tuple[tuple[int, ...], int, int]]
     degrees: tuple[int, ...]
     basis: dict[int, tuple[ChainBasisElement, ...]]
-    blocks: dict[int, dict[int, dict[tuple[int, int], int | CycloNumber]]]
-    block_of: dict[int, tuple]
+    blocks: tuple[Block, ...]
 
     @property
     def differentials(self) -> dict[int, dict[tuple[int, int], int | CycloNumber]]:
-        """The blocks merged per degree; built anew on each access, never stored."""
+        """The blocks merged per degree, keyed (target, source) globally; never stored."""
         out: dict[int, dict] = {}
-        for per_degree in self.blocks.values():
-            for k, entries in per_degree.items():
-                out.setdefault(k, {}).update(entries)
+        for members, d in self.blocks:
+            for k, entries in d.items():
+                merged, rows, cols = out.setdefault(k, {}), members[k + 1], members[k]
+                merged.update(((rows[t], cols[s]), v) for (t, s), v in entries.items())
         return out
 
     def dims(self) -> dict[int, int]:
@@ -212,38 +222,45 @@ class DeformedComplex:
     def check_d_squared(self):
         """First nonzero entry of d o d, or None if the complex is honest.
 
-        d o d is composed one arc-coloring block at a time with the entries
-        as stored, through their own operators: ints as ``build_complex``
-        leaves them, ``Monomial``s after rescaling, other ``CycloNumber``s,
-        or a mix.  An entry whose source or target lies outside its block
-        (or in none) raises InternalCheckError.  A failure names the square
-        with the smallest (degree, target, source):
-        (degree, source basis element, target basis element, value), the
-        value a CycloNumber.
+        d o d is composed block by block in local positions, with the
+        entries as stored, through their own operators: ints, ``Monomial``s
+        after rescaling, other ``CycloNumber``s, or a mix.  A basis element
+        in two blocks, or an entry outside its block's members, raises
+        InternalCheckError.  A failure names the square with the smallest
+        global (degree, target, source): (degree, source basis element,
+        target basis element, value), the value a CycloNumber.
         """
-        failures = {}
-        for b, per_degree in self.blocks.items():
-            for k, first in per_degree.items():
-                sources, targets = self.block_of[k], self.block_of[k + 1]
+        owner = {k: [None] * len(column) for k, column in self.basis.items()}
+        failures = {}  # (degree, block, local target, local source) -> value
+        for b, (members, d) in enumerate(self.blocks):
+            for k, column in members.items():
+                of_k = owner[k]
+                for i in column:
+                    if of_k[i] is not None:
+                        el = self.basis[k][i]
+                        raise InternalCheckError(f"{el} lies in blocks {of_k[i]} and {b}")
+                    of_k[i] = b
+            for k, first in d.items():
+                rows, cols = len(members.get(k + 1, ())), len(members.get(k, ()))
                 by_source: dict[int, list[tuple[int, int | CycloNumber]]] = {}
-                for (t, s), v in per_degree.get(k + 1, {}).items():
+                for (t, s), v in d.get(k + 1, {}).items():
                     by_source.setdefault(s, []).append((t, v))
                 composite: dict[tuple[int, int], int | CycloNumber] = {}
                 for (mid, src), v1 in first.items():
-                    if sources[src] != b or targets[mid] != b:
-                        raise InternalCheckError(
-                            f"d_{k} entry of block {b} joins {self.basis[k][src]} "
-                            f"and {self.basis[k + 1][mid]} across arc colorings"
-                        )
+                    if not (0 <= mid < rows and 0 <= src < cols):
+                        raise InternalCheckError(f"d_{k} entry {mid, src} lies outside block {b}")
                     for tgt, v2 in by_source.get(mid, ()):
                         cur = composite.get((tgt, src))
                         composite[tgt, src] = v2 * v1 if cur is None else cur + v2 * v1
-                failures.update(((k, t, s), v) for (t, s), v in composite.items() if v)
+                failures.update(((k, b, t, s), v) for (t, s), v in composite.items() if v)
         if not failures:
             return None
-        k, tgt, src = min(failures)
-        value = self.field.one * failures[k, tgt, src]
-        return k, self.basis[k][src], self.basis[k + 2][tgt], value
+        # every entry was found in bounds, so local keys map to global ones
+        k, tgt, src, value = min(
+            (k, self.blocks[b].members[k + 2][t], self.blocks[b].members[k][s], v)
+            for (k, b, t, s), v in failures.items()
+        )
+        return k, self.basis[k][src], self.basis[k + 2][tgt], self.field.one * value
 
     def check_states(self):
         """The first vertex whose states are not ``enumerate_admissible``'s, or None.
@@ -369,19 +386,36 @@ def _arc_colorings(d: LinkDiagram, n: int, max_chain_dim: int) -> list[tuple]:
     return out
 
 
-def _cube_layout(free: int, k: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """The subsets of crossing mask ``free`` in ascending order, and its edges.
+def _cube(ones: int, free: int, vdeg: list[int], crossings: list[Crossing]):
+    """A cube's member vertex masks, its members by degree, its local matrices.
 
-    Member j of a cube sits at vertex ``ones | subsets[j]``, so members
-    ascend with their vertices.  Each free crossing, in crossing order,
-    gives (the bit of j that flips it, the crossing).
+    Member j sits at ``ones | s`` for the j-th subset s of ``free`` in
+    ascending order.  ``groups`` maps each degree to its (j, vertex mask)
+    pairs.  ``local[k]`` holds, crossing-major, an entry per free crossing
+    and member that is its source, keyed by positions in ``groups[k + 1]``
+    and ``groups[k]``: the cube sign, by the parity of the source's 1-bits
+    before the crossing.
     """
-    subsets = [0]
-    while nxt := (subsets[-1] - free) & free:  # the next subset up; 0 once past free
-        subsets.append(nxt)
-    crossings = [i for i in range(k) if free >> (k - 1 - i) & 1]
-    f = len(crossings)
-    return subsets, [(1 << (f - 1 - t), i) for t, i in enumerate(crossings)]
+    at = [ones]
+    while nxt := (at[-1] - ones - free) & free:  # the next subset up; 0 once past free
+        at.append(ones | nxt)
+    groups: dict[int, list[tuple[int, int]]] = {}
+    pos = {}  # vertex mask -> its position among the cube's members of its degree
+    for j, m in enumerate(at):
+        group = groups.setdefault(vdeg[m], [])
+        pos[m] = len(group)
+        group.append((j, m))
+    k = len(crossings)
+    local: dict[int, dict[tuple[int, int], int]] = {}
+    for i, c in enumerate(crossings):  # crossing-major
+        bit = 1 << (k - 1 - i)
+        if free & bit:
+            source = bit if c.sign < 0 else 0
+            for m in at:
+                if m & bit == source:
+                    sign = -1 if (m >> (k - i)).bit_count() & 1 else 1
+                    local.setdefault(vdeg[m], {})[pos[m ^ bit], pos[m]] = sign
+    return at, groups, local
 
 
 def build_complex(
@@ -395,16 +429,12 @@ def build_complex(
     n < 2 raises ValueError.  A chain dimension past ``max_chain_dim``
     raises SizeBoundError before any vertex is resolved: at once when the
     lower bound 2^k * n^loops passes it (see the module docstring), else
-    from ``_arc_colorings``, which lists each coloring with its free and
-    forced-one crossings.
-    Each member of a coloring's cube reads its state off the coloring
-    through its vertex's ``Resolution.reads``; each vertex sorts its states
-    once, and one state arriving twice (a coloring listed twice) raises
-    InternalCheckError.  A cube with free crossings becomes a block for
-    each labelling of the free loops, numbered by its first member in
-    (vertex, state) order: one entry per member and free crossing at which
-    the member is the source, the int cube sign, filed crossing-major (see
-    ``DeformedComplex``).  Partners and signs come from bit masks.
+    from ``_arc_colorings``.  Each member of a coloring's cube reads its
+    state off the coloring through its vertex's ``Resolution.reads``; each
+    vertex sorts its states once, and one state arriving twice (a coloring
+    listed twice) raises InternalCheckError.  A coloring with free crossings
+    gives a block for each labelling of the free loops, in walk order, which
+    shares its cube's local matrices (``_cube``, built once per cube).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -422,27 +452,25 @@ def build_complex(
 
     # each member's arc state at its vertex, beside its member number
     # (colorings in order, each cube's members in subset order)
-    layouts: dict[int, tuple] = {}
+    cubes: dict[tuple[int, int], tuple] = {}  # (ones, free) -> _cube's answer
     states: list[list] = [[] for _ in vertices]
-    members: list[list[int]] = [[] for _ in vertices]
+    numbers: list[list[int]] = [[] for _ in vertices]
     count = 0
     for labels, free, ones in colorings:
-        layout = layouts.get(free)
-        if layout is None:
-            layout = layouts[free] = _cube_layout(free, k)
-        for s in layout[0]:
-            m = ones | s
+        cube = cubes.get((ones, free))
+        if cube is None:
+            cube = cubes[ones, free] = _cube(ones, free, vdeg, d.crossings)
+        for m in cube[0]:
             states[m].append(read[m](labels))
-            members[m].append(count)
+            numbers[m].append(count)
             count += 1
 
     basis: dict[int, list[ChainBasisElement]] = {}
     loops = list(product(range(n), repeat=d.free_loops))
-    place = [0] * count  # member -> place among its vertex's states
-    start = [0] * len(vertices)  # vertex -> index of its first element in its column
+    place = [0] * count  # member -> its index in its column, in the first loop run
     size = [0] * len(vertices)  # vertex -> its arc states, one run per loop labelling
     for m, v in enumerate(vertices):  # lexicographic vertex order, then state order
-        kv, found, numbers = vdeg[m], states[m], members[m]
+        kv, found, numbered = vdeg[m], states[m], numbers[m]
         order = sorted(range(len(found)), key=found.__getitem__)
         ordered = [found[i] for i in order]
         if any(map(eq, ordered, islice(ordered, 1, None))):
@@ -450,49 +478,27 @@ def build_complex(
             raise InternalCheckError(
                 f"vertex {v} receives state {twice} twice: an arc coloring was listed twice"
             )
-        for p, i in enumerate(order):
-            place[numbers[i]] = p
         column = basis.setdefault(kv, [])
-        start[m], size[m] = len(column), len(ordered)
+        for p, i in enumerate(order, len(column)):
+            place[numbered[i]] = p
+        size[m] = len(ordered)
         column.extend(records(  # one run of the vertex's states per loop labelling
             ChainBasisElement, repeat(v), starmap(add, product(loops, ordered)), repeat(kv)
         ))
-        states[m] = members[m] = None
+        states[m] = numbers[m] = None
 
-    # cubes with free crossings by their first member: vertex, loop labels, state
-    cubes = []
-    first = 0
+    # a block per coloring with a free crossing and loop labelling
+    blocks = []
+    first = 0  # the member number of the coloring's first member
     for _, free, ones in colorings:
+        at, groups, local = cubes[ones, free]
         if free:
-            cubes.append((ones, place[first], first, free))
-        first += 1 << free.bit_count()
-    del states, members
-    cubes.sort()
-
-    block_of = {k_: [None] * len(b) for k_, b in basis.items()}
-    blocks: dict[int, dict[int, dict[tuple[int, int], int]]] = {}
-    signs = (1, -1)  # by the parity of 1-bits before the crossing
-    negative = [0 if c.sign > 0 else 1 for c in d.crossings]
-    for _, group in groupby(cubes, key=itemgetter(0)):
-        group = list(group)
-        for run in range(len(loops)):
-            for ones, _, first, free in group:
-                subsets, edges = layouts[free]
-                at = [ones | s for s in subsets]
-                index = [
-                    start[m] + run * size[m] + place[first + j] for j, m in enumerate(at)
-                ]
-                b = len(blocks)
-                per_degree = blocks[b] = {}
-                for m, i in zip(at, index):
-                    block_of[vdeg[m]][i] = b
-                for jb, ci in edges:  # crossing-major
-                    source, shift = (jb if negative[ci] else 0), k - ci
-                    for j, m in enumerate(at):
-                        if j & jb == source:
-                            per_degree.setdefault(vdeg[m], {})[index[j ^ jb], index[j]] = (
-                                signs[(m >> shift).bit_count() & 1]
-                            )
+            for run in range(len(loops)):
+                blocks.append(Block({
+                    kv: tuple([place[first + j] + run * size[m] for j, m in group])
+                    for kv, group in groups.items()
+                }, local))
+        first += len(at)
 
     return DeformedComplex(
         diagram=d,
@@ -501,8 +507,7 @@ def build_complex(
         colorings=colorings,
         degrees=tuple(sorted(basis)),
         basis={k_: tuple(b) for k_, b in basis.items()},
-        blocks=blocks,
-        block_of={k_: tuple(b) for k_, b in block_of.items()},
+        blocks=tuple(blocks),
     )
 
 
@@ -527,6 +532,8 @@ def rescale_basis(cx: DeformedComplex, seed: int) -> DeformedComplex:
 def rescale_with(cx: DeformedComplex, scalars: dict[int, list]) -> DeformedComplex:
     """Explicit diagonal change of basis; each block rescales into itself.
 
+    Every block gets a new ``d``; the shared ones of ``cx`` stay untouched.
+
     ``scalars[k]`` holds one int triple (e, p, q), standing for the monomial
     zeta^e * p/q, per basis element of degree k; p = 0 or q = 0 raises
     ValueError.  Only the integral complex of ``build_complex`` is accepted:
@@ -541,18 +548,18 @@ def rescale_with(cx: DeformedComplex, scalars: dict[int, list]) -> DeformedCompl
             raise ValueError("rescaling needs one nonzero scalar per basis element")
     monomial = cx.field.monomial
 
-    def rescaled(k, entries):
-        target, source = scalars[k + 1], scalars[k]
+    def rescaled(block):
+        members, d = block
         out = {}
-        for (t, s), v in entries.items():
-            if type(v) is not int:
-                raise ValueError(f"rescaling needs an integral complex, got entry {v!r}")
-            et, pt, qt = target[t]
-            es, ps, qs = source[s]
-            out[t, s] = monomial(et - es, v * pt * qs, qt * ps)
-        return out
+        for k, entries in d.items():
+            target, source = ([scalars[j][i] for i in members[j]] for j in (k + 1, k))
+            out[k] = rescaled_k = {}
+            for (t, s), v in entries.items():
+                if type(v) is not int:
+                    raise ValueError(f"rescaling needs an integral complex, got entry {v!r}")
+                et, pt, qt = target[t]
+                es, ps, qs = source[s]
+                rescaled_k[t, s] = monomial(et - es, v * pt * qs, qt * ps)
+        return Block(members, out)
 
-    return replace(cx, blocks={
-        b: {k: rescaled(k, entries) for k, entries in per_degree.items()}
-        for b, per_degree in cx.blocks.items()
-    })
+    return replace(cx, blocks=tuple(map(rescaled, cx.blocks)))

@@ -310,11 +310,9 @@ def _eliminated_dims(cx) -> dict[int, int]:
     tell a rescaled complex from the original; elimination reads the values.
     """
     ranks = Counter()
-    for per_degree in cx.blocks.values():
-        for k, entries in per_degree.items():
-            rows: dict[int, int] = {}  # target -> row, in order of first use
-            block = {(rows.setdefault(t, len(rows)), s): v for (t, s), v in entries.items()}
-            ranks[k] += matrix_rank(block, len(rows))
+    for members, d in cx.blocks:
+        for k, entries in d.items():
+            ranks[k] += matrix_rank(entries, len(members[k + 1]))
     dims = {k: len(cx.basis[k]) - ranks[k] - ranks[k - 1] for k in cx.degrees}
     return {k: dim for k, dim in dims.items() if dim}
 

@@ -11,14 +11,14 @@
   the rank when it meets a proven ceiling, and otherwise falls back to
   exact sparse Gaussian elimination with sparsest-row pivoting.  The
   ceiling rests on d o d = 0, which ``check_d_squared`` checks (run by
-  ``cross_validate`` and by ``slndeform verify``).  The generators are the
-  one-element blocks: the basis elements that no nonzero entry of any
-  differential touches, marked None in ``block_of``.  Those are exactly
-  the arc colorings with no free crossing (``DeformedComplex.colorings``),
-  and each is read straight off its coloring: its vertex is the mask of
-  its forced 1-bits, whose signed count is the degree, and its coloring of
-  the components is the label at each component's first arc, checked to
-  be constant along every component.
+  ``cross_validate`` and by ``slndeform verify``).  A block is ranked as
+  stored, its rows and columns the positions of its members.  The
+  generators are the basis elements that no block holds: exactly the arc
+  colorings with no free crossing (``DeformedComplex.colorings``), each
+  read straight off its coloring: its vertex is the mask of its forced
+  1-bits, whose signed count is the degree, and its coloring of the
+  components is the label at each component's first arc, checked to be
+  constant along every component.
 * ``closed_form``: the combinatorial answer -- one generator per coloring
   of the components by roots of unity, in degree given by the linking
   numbers of the preimage sublinks, n^l generators in total.
@@ -53,7 +53,6 @@ deformation scale beta (see ``chain``).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -297,34 +296,27 @@ def compute_homology(cx: DeformedComplex) -> HomologyResult:
     """Per-degree dimensions by exact rank computation.
 
     dim H^k = dim C^k - rank(d_k) - rank(d_{k-1}), each rank summed over
-    the stored arc-coloring blocks of d_k; a block's rows are the targets
-    its entries reach.  A block's degrees are ranked in ascending order,
-    each with the ceiling (its members in degree k) - rank(its d_{k-1}),
-    so ``matrix_rank`` can prove the rank by a matching.  That ceiling
-    holds only if d o d = 0 and every entry lies in its block, which
-    ``check_d_squared`` checks (``cross_validate`` and ``slndeform verify``
-    run it; so does the benchmark).  The generator columns are read off the
+    the blocks, each block's ``d[k]`` ranked as stored, its degree-(k+1)
+    members the rows.  A block's degrees are ranked in ascending order,
+    each with the ceiling (its members in degree k) - rank(its d_{k-1}), so
+    ``matrix_rank`` can prove the rank by a matching.  That ceiling holds
+    only if d o d = 0 within each block and no basis element lies in two
+    blocks, which ``check_d_squared`` checks (``cross_validate`` and
+    ``slndeform verify`` run it; so does the benchmark).  The generator columns are read off the
     arc colorings with no free crossing, the elements of no block, and
     extended by the loop labellings; ``cross_validate`` checks they account
     for every dimension and match the survivor resolutions.
     """
-    members = {k: Counter(cx.block_of[k]) for k in cx.degrees}  # k -> block -> size
-    ranks = Counter()
-    for b, per_degree in cx.blocks.items():
+    ranks: dict[int, int] = {}  # k -> rank of d_k
+    for members, d in cx.blocks:
         block_rank: dict[int, int] = {}  # k -> rank of the block's d_k
-        for k in sorted(per_degree):
-            rows: dict[int, int] = {}  # target -> row, in order of first use
-            block = {
-                (rows.setdefault(t, len(rows)), s): v
-                for (t, s), v in per_degree[k].items()
-            }
-            block_rank[k] = matrix_rank(
-                block, len(rows), ceiling=members[k][b] - block_rank.get(k - 1, 0)
-            )
-            ranks[k] += block_rank[k]
+        for k in sorted(d):
+            ceiling = len(members[k]) - block_rank.get(k - 1, 0)
+            block_rank[k] = matrix_rank(d[k], len(members[k + 1]), ceiling=ceiling)
+            ranks[k] = ranks.get(k, 0) + block_rank[k]
     dims = {}
     for k in cx.degrees:
-        dim = len(cx.basis[k]) - ranks[k] - ranks[k - 1]
+        dim = len(cx.basis[k]) - ranks.get(k, 0) - ranks.get(k - 1, 0)
         if dim < 0:
             raise InternalCheckError(f"negative homology dimension in degree {k}")
         if dim:

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_homology import TORUS_2_7, eliminated_dims, split_union
+from test_homology import TORUS_2_7, block_of, eliminated_dims, own_block, split_union
 from test_states import _braid_closure, _torus_pd, braid_diagrams
 
 from slndeform import chain, cyclotomic
@@ -26,7 +26,7 @@ from slndeform.diagram import parse, parse_pd, parse_signed, render_signed
 from slndeform.errors import InternalCheckError, SizeBoundError
 from slndeform.fixtures import fixture, fixture_names
 from slndeform.homology import compute_homology, cross_validate
-from slndeform.resolution import resolve
+from slndeform.resolution import degree as vertex_degree, resolve
 from slndeform.states import enumerate_admissible
 
 
@@ -265,6 +265,101 @@ def test_cube_entries_are_the_matched_pairs_on_generated_diagrams(d, n):
     _assert_entries_are_matched_pairs(build_complex(d, n))
 
 
+def reference_blocks(cx):
+    """Each block's entries, keyed by global basis indices, in dict form.
+
+    The assembly as it was before blocks kept local matrices: the colorings
+    with a free crossing in walk order, each once per labelling of the free
+    loops; each member's state read off its coloring through its vertex's
+    resolution and looked up in the basis; one entry per free crossing and
+    member at which the member is the source, crossing-major, its sign the
+    parity of the source's 1-bits before the crossing.
+    """
+    d = cx.diagram
+    k = len(d.crossings)
+    index = {(el.vertex, el.state): i for col in cx.basis.values() for i, el in enumerate(col)}
+    reads = {}
+    out = []
+    for labels, free, ones in cx.colorings:
+        if not free:
+            continue
+        subsets = [s for s in range(free + 1) if s & free == s]
+        vertices = [tuple((ones | s) >> (k - 1 - i) & 1 for i in range(k)) for s in subsets]
+        for v in vertices:
+            if v not in reads:
+                reads[v] = resolve(d, v).reads[d.free_loops:]
+        for loops in product(range(cx.n), repeat=d.free_loops):
+            at = [index[v, loops + tuple(labels[p] for p in reads[v])] for v in vertices]
+            block = {}
+            for ci in range(k):
+                bit = 1 << (k - 1 - ci)
+                if not free & bit:
+                    continue
+                for j, v in enumerate(vertices):
+                    if v[ci] != (0 if d.crossings[ci].sign > 0 else 1):
+                        continue
+                    t = subsets.index(subsets[j] ^ bit)
+                    sign = -1 if sum(v[:ci]) % 2 else 1
+                    block.setdefault(vertex_degree(d, v), {})[at[t], at[j]] = sign
+            out.append(block)
+    return out
+
+
+def _assert_blocks_are_the_reference_assembly(cx):
+    ref = reference_blocks(cx)
+    assert len(cx.blocks) == len(ref)
+    for (members, d), want in zip(cx.blocks, ref):
+        got = {
+            k: [((members[k + 1][t], members[k][s]), v) for (t, s), v in entries.items()]
+            for k, entries in d.items()
+        }
+        assert list(got.items()) == [(k, list(e.items())) for k, e in want.items()]
+    merged = {}
+    for block in ref:
+        for k, entries in block.items():
+            merged.setdefault(k, {}).update(entries)
+    assert cx.differentials == merged
+
+
+@pytest.mark.parametrize("name", fixture_names())
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_blocks_are_the_reference_assembly(name, n):
+    _assert_blocks_are_the_reference_assembly(build_complex(fixture(name), n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(braid_diagrams(), st.sampled_from((2, 3, 4)))
+def test_blocks_are_the_reference_assembly_on_generated_diagrams(d, n):
+    try:
+        cx = build_complex(d, n, max_chain_dim=20_000)
+    except SizeBoundError:
+        assume(False)
+    _assert_blocks_are_the_reference_assembly(cx)
+
+
+@pytest.mark.parametrize("code, n", [
+    pytest.param(_torus_pd(5), 4, id="T(2,5)-4"),
+    pytest.param("C[+;1,2,3,4] C[+;4,3,2,1] U U U", 3, id="hopf+U^3-3"),
+])
+def test_blocks_of_one_cube_share_their_matrices(code, n):
+    d = parse(code)
+    cx = build_complex(d, n)
+    loops = n ** d.free_loops
+    cube_of = [(ones, free) for _, free, ones in cx.colorings if free for _ in range(loops)]
+    assert len(cube_of) == len(cx.blocks)
+    shared = {}
+    for cube, (_, matrices) in zip(cube_of, cx.blocks):
+        assert shared.setdefault(cube, matrices) is matrices, cube
+    assert len({id(m) for m in shared.values()}) == len(shared) < len(cx.blocks)
+    # rescaling gives every block its own matrices and leaves the shared ones
+    rescaled = rescale_basis(cx, seed=n)
+    assert cx.differentials == build_complex(d, n).differentials
+    owned = {id(matrices) for _, matrices in rescaled.blocks}
+    assert len(owned) == len(rescaled.blocks)
+    assert not owned & {id(m) for m in shared.values()}
+    assert all(rx.members is block.members for rx, block in zip(rescaled.blocks, cx.blocks))
+
+
 def test_matched_pairs_validates_vertices():
     d = fixture("hopf_pos")
     with pytest.raises(ValueError):
@@ -432,7 +527,7 @@ def test_identity_rescaling_is_identity():
     assert same.blocks == cx.blocks
     assert all(
         isinstance(v, CycloNumber)
-        for per in same.blocks.values() for es in per.values() for v in es.values()
+        for _, d in same.blocks for es in d.values() for v in es.values()
     )
 
 
@@ -482,9 +577,9 @@ def test_rescaling_rejects_a_complex_that_is_not_integral():
     ones = {k: [(0, 1, 1)] * len(cx.basis[k]) for k in cx.degrees}
     with pytest.raises(ValueError, match="integral complex"):
         rescale_with(rescale_basis(cx, 0), ones)
-    k = min(cx.blocks[0])
-    key = min(cx.blocks[0][k])
-    cx.blocks[0][k][key] = Fraction(1, 2)
+    d = own_block(cx, 0)
+    k = min(d)
+    d[k][min(d[k])] = Fraction(1, 2)
     with pytest.raises(ValueError, match="integral complex"):
         rescale_with(cx, ones)
 
@@ -509,22 +604,22 @@ def _assert_rescaled_by_field_products(cx, seed):
 
     S = root(e) * Fraction(p, q) from the drawn triples, with honest
     ``CycloNumber`` products and norm inverses; the rescaled blocks keep the
-    keys and the entry order of the integral ones, and every entry is a
-    ``Monomial``.
+    members, the keys and the entry order of the integral ones, and every
+    entry is a ``Monomial``.
     """
     rx, drawn = _rescale_and_draws(cx, seed)
     field = cx.field
     scale = {
         k: [field.root(e) * Fraction(p, q) for e, p, q in col] for k, col in drawn.items()
     }
-    assert rx.blocks.keys() == cx.blocks.keys()
-    for b, per_degree in cx.blocks.items():
-        assert rx.blocks[b].keys() == per_degree.keys()
-        for k, entries in per_degree.items():
-            got = rx.blocks[b][k]
+    assert len(rx.blocks) == len(cx.blocks)
+    for b, ((members, d), (rx_members, rx_d)) in enumerate(zip(cx.blocks, rx.blocks)):
+        assert rx_members is members and rx_d.keys() == d.keys()
+        for k, entries in d.items():
+            got = rx_d[k]
             assert list(got) == list(entries)
             for (t, s), v in entries.items():
-                want = scale[k + 1][t] * v * scale[k][s].inv()
+                want = scale[k + 1][members[k + 1][t]] * v * scale[k][members[k][s]].inv()
                 assert type(got[t, s]) is Monomial
                 assert (got[t, s].num, got[t, s].den) == (want.num, want.den), (b, k, t, s)
 
@@ -547,7 +642,9 @@ def test_injected_sign_flip_is_detected_and_named():
     cx = build_complex(fixture("hopf_pos"), 2)
     k = 0
     (t, s), value = sorted(cx.differentials[k].items())[0]
-    cx.blocks[cx.block_of[k][s]][k][t, s] = -value
+    b = block_of(cx)[k][s]
+    members, _ = cx.blocks[b]
+    own_block(cx, b)[k][members[k + 1].index(t), members[k].index(s)] = -value
     failure = cx.check_d_squared()
     assert failure is not None
     degree, src_el, tgt_el, residue = failure
@@ -575,19 +672,18 @@ def _whole_degree_failures(cx):
 
 def test_d_squared_failure_is_the_smallest_square_over_all_blocks():
     cx = build_complex(fixture("figure_eight"), 2)
-    blocks = cx.blocks
-    first = next(iter(blocks))
-    later = next(b for b in blocks if min(blocks[b]) < min(blocks[first]))
+    first = 0
+    later = next(b for b, (_, d) in enumerate(cx.blocks) if min(d) < min(cx.blocks[first].d))
     # break d o d in the block composed first at its top degree, and in a
     # later block at a lower degree
-    for b, k in ((first, max(blocks[first])), (later, min(blocks[later]))):
-        key = min(blocks[b][k])
-        blocks[b][k][key] = -blocks[b][k][key]
+    for b, k in ((first, max(cx.blocks[first].d)), (later, min(cx.blocks[later].d))):
+        _scale_smallest_entry(cx, b, k, -1)
     failures = _whole_degree_failures(cx)
+    owner = block_of(cx)
     assert len({k for k, _, _ in failures}) >= 2
-    assert len({cx.block_of[k][s] for k, _, s in failures}) >= 2
+    assert len({owner[k][s] for k, _, s in failures}) >= 2
     k, tgt, src = min(failures)
-    assert cx.block_of[k][src] == later
+    assert owner[k][src] == later
     assert cx.check_d_squared() == (
         k, cx.basis[k][src], cx.basis[k + 2][tgt], failures[k, tgt, src]
     )
@@ -614,7 +710,12 @@ def _assert_reports_first_failure(cx):
 
 
 def _scale_smallest_entry(cx, b, k, factor):
-    entries = cx.blocks[b][k]
+    """Multiply block b's smallest d_k entry by ``factor``, in a copy of its ``d``.
+
+    A block's members ascend, so its smallest local key is its smallest
+    global one.
+    """
+    entries = own_block(cx, b)[k]
     key = min(entries)
     entries[key] = entries[key] * factor
 
@@ -635,9 +736,17 @@ def test_unrescaled_d_squared_needs_no_field_arithmetic(n, monkeypatch):
 
 
 def _blocks_with_squares(cx):
-    """Blocks with two or more degrees, ordered by their lowest degree."""
-    return sorted((b for b, per in cx.blocks.items() if len(per) > 1),
-                  key=lambda b: (min(cx.blocks[b]), b))
+    """Blocks with two or more degrees, by their lowest degree, then first element.
+
+    A block's first element is its smallest (vertex, state), the member at
+    its cube's forced-one vertex.
+    """
+    def first_element(b):
+        return min((cx.basis[k][i].vertex, cx.basis[k][i].state)
+                   for k, column in cx.blocks[b].members.items() for i in column)
+
+    return sorted((b for b, (_, d) in enumerate(cx.blocks) if len(d) > 1),
+                  key=lambda b: (min(cx.blocks[b].d), first_element(b)))
 
 
 @pytest.mark.parametrize("scale", ["zeta", "1/2"])
@@ -649,12 +758,12 @@ def test_sign_and_field_blocks_report_through_one_minimum(scaled_first, scale):
     cx = build_complex(fixture("figure_eight"), 3)
     factor = cx.field.root(1) if scale == "zeta" else cx.field.from_rational(Fraction(1, 2))
     low, *rest = _blocks_with_squares(cx)
-    high = next(b for b in rest if min(cx.blocks[b]) > min(cx.blocks[low]))
+    high = next(b for b in rest if min(cx.blocks[b].d) > min(cx.blocks[low].d))
     scaled, flipped = (low, high) if scaled_first else (high, low)
-    _scale_smallest_entry(cx, scaled, min(cx.blocks[scaled]), factor)
-    _scale_smallest_entry(cx, flipped, min(cx.blocks[flipped]), -1)
+    _scale_smallest_entry(cx, scaled, min(cx.blocks[scaled].d), factor)
+    _scale_smallest_entry(cx, flipped, min(cx.blocks[flipped].d), -1)
     k, src, _, residue = _assert_reports_first_failure(cx)
-    assert cx.block_of[k][cx.basis[k].index(src)] == low
+    assert block_of(cx)[k][cx.basis[k].index(src)] == low
     # a square through the scaled entry leaves (factor -+ 1); a flipped sign -+2
     assert (residue in (2, -2)) != scaled_first
 
@@ -663,7 +772,7 @@ def test_negated_entry_of_a_rescaled_complex_is_caught():
     cx = rescale_basis(build_complex(fixture("figure_eight"), 3), seed=3)
     assert cx.check_d_squared() is None
     b = _blocks_with_squares(cx)[-1]
-    _scale_smallest_entry(cx, b, max(cx.blocks[b]), -1)
+    _scale_smallest_entry(cx, b, max(cx.blocks[b].d), -1)
     assert _assert_reports_first_failure(cx) is not None
 
 
@@ -684,11 +793,11 @@ def test_exponent_shift_of_a_rescaled_entry_is_caught(n):
     # exponents would still cancel every square
     cx = rescale_basis(build_complex(fixture("figure_eight"), n), seed=3)
     b = _blocks_with_squares(cx)[-1]
-    k = max(cx.blocks[b])
-    key = min(cx.blocks[b][k])
-    before = cx.blocks[b][k][key]
+    k = max(cx.blocks[b].d)
+    key = min(cx.blocks[b].d[k])
+    before = cx.blocks[b].d[k][key]
     _scale_smallest_entry(cx, b, k, cx.field.monomial(1, 1, 1))
-    after = cx.blocks[b][k][key]
+    after = cx.blocks[b].d[k][key]
     assert (after.p, after.q) == (before.p, before.q) and after.e == (before.e + 1) % n
     failure = _assert_reports_first_failure(cx)
     assert failure is not None and type(failure[3]) is CycloNumber
@@ -698,7 +807,7 @@ def test_exponent_shift_of_a_rescaled_entry_is_caught(n):
 def test_negated_entry_failure_text_on_figure_eight():
     cx = build_complex(fixture("figure_eight"), 3)
     b = _blocks_with_squares(cx)[0]
-    _scale_smallest_entry(cx, b, min(cx.blocks[b]), -1)
+    _scale_smallest_entry(cx, b, min(cx.blocks[b].d), -1)
     assert repr(cx.check_d_squared()) == (
         "(-2, ChainBasisElement(vertex=(1, 1, 0, 0), state=(0, 1, 0, 1, 0), degree=-2), "
         "ChainBasisElement(vertex=(0, 0, 0, 0), state=(0, 1, 0), degree=0), "
@@ -711,12 +820,13 @@ def test_negated_entry_failure_text_on_figure_eight():
 def test_negated_entry_is_the_first_failure_on_generated_diagrams(d, n, pick):
     cx = build_complex(d, n)
     entries = sorted(
-        (b, k, key) for b, per in cx.blocks.items() for k, es in per.items() for key in es
+        (b, k, key) for b, (_, d) in enumerate(cx.blocks) for k, es in d.items() for key in es
     )
     if entries:
         b, k, key = entries[pick % len(entries)]
-        cx.blocks[b][k][key] = -cx.blocks[b][k][key]
-        assert (_assert_reports_first_failure(cx) is None) == (len(cx.blocks[b]) == 1)
+        d = own_block(cx, b)
+        d[k][key] = -d[k][key]
+        assert (_assert_reports_first_failure(cx) is None) == (len(d) == 1)
     else:
         assert cx.check_d_squared() is None
 

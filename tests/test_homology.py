@@ -9,7 +9,13 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from slndeform.chain import ChainBasisElement, LocalType, build_complex, rescale_basis
+from slndeform.chain import (
+    Block,
+    ChainBasisElement,
+    LocalType,
+    build_complex,
+    rescale_basis,
+)
 from slndeform import homology
 from slndeform.cyclotomic import CycloField
 from slndeform.diagram import linking_matrix, parse, parse_pd, parse_signed, render_signed
@@ -373,6 +379,15 @@ def test_three_way_and_rescaled_elimination_past_n6(name, n):
     assert eliminated_dims(rescaled) == report.closed.dims
 
 
+def block_ranks(cx):
+    """degree k -> the sum of every block's rank of d_k, each by elimination."""
+    ranks = Counter()
+    for members, d in cx.blocks:
+        for k, entries in d.items():
+            ranks[k] += matrix_rank(entries, len(members[k + 1]))
+    return ranks
+
+
 def eliminated_dims(cx):
     """Homology dims, every block's degrees ranked by elimination.
 
@@ -380,23 +395,35 @@ def eliminated_dims(cx):
     entries are nonzero; elimination reads their values, so only it can
     tell whether a rescaled complex keeps the homology.
     """
-    ranks = Counter()
-    for per_degree in cx.blocks.values():
-        for k, entries in per_degree.items():
-            rows = {t: i for i, t in enumerate(sorted({t for t, _ in entries}))}
-            ranks[k] += matrix_rank({(rows[t], s): v for (t, s), v in entries.items()},
-                                    len(rows))
+    ranks = block_ranks(cx)
     dims = {k: len(cx.basis[k]) - ranks[k] - ranks[k - 1] for k in cx.degrees}
     return {k: dim for k, dim in dims.items() if dim}
 
 
+def block_of(cx):
+    """degree -> each basis element's block number, or None, from the members."""
+    out = {k: [None] * len(column) for k, column in cx.basis.items()}
+    for b, (members, _) in enumerate(cx.blocks):
+        for k, column in members.items():
+            for i in column:
+                out[k][i] = b
+    return out
+
+
+def own_block(cx, b):
+    """Give block b of ``cx`` its own copy of ``d`` and return that copy.
+
+    Blocks of one cube share ``d``, so a fault is injected into this copy,
+    never into the shared matrices.
+    """
+    members, d = cx.blocks[b]
+    copy = {k: dict(entries) for k, entries in d.items()}
+    cx.blocks = cx.blocks[:b] + (Block(members, copy),) + cx.blocks[b + 1:]
+    return copy
+
+
 def _assert_block_ranks_match(cx):
-    block_sums = Counter()
-    for per_degree in cx.blocks.values():
-        for k, entries in per_degree.items():
-            rows = {t: i for i, t in enumerate(sorted({t for t, _ in entries}))}
-            block = {(rows[t], s): v for (t, s), v in entries.items()}
-            block_sums[k] += matrix_rank(block, len(rows))
+    block_sums = block_ranks(cx)
     for k, entries in cx.differentials.items():
         whole = matrix_rank(entries, len(cx.basis.get(k + 1, ())))
         assert block_sums[k] == whole, k
@@ -436,20 +463,32 @@ def test_block_ranks_equal_whole_matrix_rank_after_rescaling(code, n):
 
 
 def test_entry_joining_two_arc_colorings_is_rejected():
-    cx = build_complex(fixture("hopf_pos"), 2)
-    b, per_degree = next(iter(cx.blocks.items()))
-    k, entries = next(iter(per_degree.items()))
-    (t, s), v = next(iter(entries.items()))
-    target = cx.basis[k + 1][t]
-    # two states of one resolution differ on some thin edge, hence on an arc
-    other = next(
-        i for i, el in enumerate(cx.basis[k + 1])
-        if el.vertex == target.vertex and el.state != target.state
-    )
-    assert cx.block_of[k + 1][other] != b
-    del entries[t, s]
-    entries[other, s] = v
-    with pytest.raises(InternalCheckError, match="arc colorings"):
+    # a block is block-local: an entry cannot reach past its block's
+    # members, and no basis element may lie in two blocks
+    built = build_complex(fixture("hopf_pos"), 2)
+    for row in ("past", "negative"):
+        cx = replace(built)
+        members, _ = cx.blocks[0]
+        d = own_block(cx, 0)
+        k, entries = next(iter(d.items()))
+        (t, s), v = next(iter(entries.items()))
+        del entries[t, s]
+        entries[len(members[k + 1]) if row == "past" else -1, s] = v
+        with pytest.raises(InternalCheckError, match=rf"d_{k} entry \(.*\) lies outside block 0"):
+            cx.check_d_squared()
+    assert built.check_d_squared() is None  # the shared matrices are untouched
+
+    cx = replace(built)
+    (members0, _), (members1, d1) = cx.blocks[:2]
+    k = min(members1)
+    taken = members0[k][0]
+    # block 1 swaps its first degree-k member for one of block 0's
+    stolen = {**members1, k: (taken,) + members1[k][1:]}
+    cx.blocks = (cx.blocks[0], Block(stolen, d1)) + cx.blocks[2:]
+    with pytest.raises(
+        InternalCheckError,
+        match=re.escape(f"{cx.basis[k][taken]} lies in blocks 0 and 1"),
+    ):
         cx.check_d_squared()
 
 
@@ -466,6 +505,7 @@ PARTITION_CASES = [
 @pytest.mark.parametrize("code,n", PARTITION_CASES)
 def test_block_of_is_the_arc_coloring_partition(code, n):
     cx = build_complex(parse(code), n)
+    owner = block_of(cx)
     touched = {k: set() for k in cx.degrees}
     for k, entries in cx.differentials.items():
         for (t, s), v in entries.items():
@@ -476,8 +516,7 @@ def test_block_of_is_the_arc_coloring_partition(code, n):
                 touched[k + 1].add(t)
     block_of_coloring = {}
     for k in cx.degrees:
-        assert len(cx.block_of[k]) == len(cx.basis[k])
-        for i, (el, b) in enumerate(zip(cx.basis[k], cx.block_of[k])):
+        for i, (el, b) in enumerate(zip(cx.basis[k], owner[k])):
             assert (b is None) == (i not in touched[k]), (k, el)
             if b is not None:
                 coloring = resolve(cx.diagram, el.vertex).coloring(el.state)
@@ -489,36 +528,39 @@ def test_block_of_is_the_arc_coloring_partition(code, n):
     # |F| * 2^(|F| - 1) entries
     members = {}
     for k in cx.degrees:
-        for el, b in zip(cx.basis[k], cx.block_of[k]):
+        for el, b in zip(cx.basis[k], owner[k]):
             if b is not None:
                 members.setdefault(b, []).append(el.vertex)
-    assert members.keys() == cx.blocks.keys()
+    assert sorted(members) == list(range(len(cx.blocks)))
     for b, vertices in members.items():
         free = {i for i, bits in enumerate(zip(*vertices)) if len(set(bits)) == 2}
         assert len(set(vertices)) == len(vertices) == 2 ** len(free), b
-        entries = sum(len(e) for e in cx.blocks[b].values())
+        entries = sum(len(e) for e in cx.blocks[b].d.values())
         assert entries == len(free) * 2 ** (len(free) - 1), b
+        # a block's members ascend in each degree, so its local positions
+        # order as the global indices do
+        for column in cx.blocks[b].members.values():
+            assert list(column) == sorted(column), b
 
     rescaled = rescale_basis(cx, seed=n)
-    assert rescaled.block_of == cx.block_of
+    assert block_of(rescaled) == owner
 
     def shape(c):
-        return {
-            (b, k, key) for b, per in c.blocks.items() for k in per for key in per[k]
-        }
+        return [(members, {k: list(e) for k, e in d.items()}) for members, d in c.blocks]
 
     assert shape(rescaled) == shape(cx)
     # each entry is stored once, in the block of both its ends, and the
     # merged view holds exactly the stored entries
     for c in (cx, rescaled):
         stored, total = {}, 0
-        for b, per_degree in c.blocks.items():
-            for k, entries in per_degree.items():
+        for b, (block_members, d) in enumerate(c.blocks):
+            for k, entries in d.items():
                 assert entries, (b, k)
                 total += len(entries)
+                rows, cols = block_members[k + 1], block_members[k]
                 for (t, s), v in entries.items():
-                    assert c.block_of[k][s] == b and c.block_of[k + 1][t] == b
-                    stored[k, t, s] = v
+                    assert owner[k][cols[s]] == b and owner[k + 1][rows[t]] == b
+                    stored[k, rows[t], cols[s]] = v
         merged = c.differentials
         assert sum(len(e) for e in merged.values()) == total
         flat = {(k, t, s): v for k, e in merged.items() for (t, s), v in e.items()}
@@ -743,8 +785,9 @@ def reference_generator_scan(cx):
     """The generators read off the states of the elements of no block."""
     layouts = {}
     gens = []
+    owner = block_of(cx)
     for k in cx.degrees:
-        for (vertex, state, _), b in zip(cx.basis[k], cx.block_of[k]):
+        for (vertex, state, _), b in zip(cx.basis[k], owner[k]):
             if b is None:
                 layout = layouts.get(vertex)
                 if layout is None:
@@ -806,7 +849,7 @@ def test_generators_read_off_the_colorings_are_the_state_scan(d, n):
     except SizeBoundError:
         assume(False)
     free_less = [c for c in cx.colorings if not c[1]]
-    assert len(free_less) * n**d.free_loops == sum(b.count(None) for b in cx.block_of.values())
+    assert len(free_less) * n**d.free_loops == sum(b.count(None) for b in block_of(cx).values())
     assert compute_homology(cx).generators == reference_generator_scan(cx)
 
 
