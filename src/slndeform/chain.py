@@ -39,8 +39,10 @@ is the only gate on the crossing count.  Each vertex is resolved only to
 read its states off the colorings; the resolution-based
 ``enumerate_admissible`` stays the oracle for that walk
 (``DeformedComplex.check_states``), and ``matched_pairs`` the classifying
-reference for the entries.  d o d, the ranks and rescaling run block by
-block.
+reference for the entries.  The ranks and rescaling run block by block;
+d o d is composed once per distinct block matrix, and each block is
+checked against it on its own: its bounds, its members owned by no other
+block, and its squares mapped to global indices.
 """
 
 from __future__ import annotations
@@ -179,6 +181,23 @@ class Block(NamedTuple):
     d: dict[int, dict[tuple[int, int], int | CycloNumber]]
 
 
+def _squares(d):
+    """The nonzero squares of ``d`` in local positions: (k, target, source, value)
+    for each nonzero entry of d[k + 1] o d[k]."""
+    squares = []
+    for k, first in d.items():
+        by_source: dict[int, list[tuple[int, int | CycloNumber]]] = {}
+        for (t, s), v in d.get(k + 1, {}).items():
+            by_source.setdefault(s, []).append((t, v))
+        composite: dict[tuple[int, int], int | CycloNumber] = {}
+        for (mid, src), v1 in first.items():
+            for tgt, v2 in by_source.get(mid, ()):
+                cur = composite.get((tgt, src))
+                composite[tgt, src] = v2 * v1 if cur is None else cur + v2 * v1
+        squares.extend((k, t, s, v) for (t, s), v in composite.items() if v)
+    return squares
+
+
 @dataclass
 class DeformedComplex:
     """Basis lists per degree plus the differential in direct-sum form.
@@ -222,16 +241,26 @@ class DeformedComplex:
     def check_d_squared(self):
         """First nonzero entry of d o d, or None if the complex is honest.
 
-        d o d is composed block by block in local positions, with the
-        entries as stored, through their own operators: ints, ``Monomial``s
-        after rescaling, other ``CycloNumber``s, or a mix.  A basis element
-        in two blocks, or an entry outside its block's members, raises
-        InternalCheckError.  A failure names the square with the smallest
-        global (degree, target, source): (degree, source basis element,
-        target basis element, value), the value a CycloNumber.
+        d o d is composed in local positions once per distinct ``d`` object
+        (``_squares``), however many blocks share it, with the entries as
+        stored, through their own operators: ints, ``Monomial``s after
+        rescaling, other ``CycloNumber``s, or a mix.  Every block is still
+        checked on its own, in order: a basis element in two blocks, or an
+        entry of its ``d`` outside its members, raises InternalCheckError
+        (the entries are scanned once per ``d`` and block sizes, since a
+        block of the sizes already scanned holds them all), and its members
+        map the shared squares to global ones.  A failure names the square
+        with the smallest global (degree, target, source): (degree, source
+        basis element, target basis element, value), the value a
+        CycloNumber.
         """
         owner = {k: [None] * len(column) for k, column in self.basis.items()}
-        failures = {}  # (degree, block, local target, local source) -> value
+        # the blocks hold every d for the call, so an id names one d; a d's
+        # squares, and the block sizes its entries were found to fit, are
+        # kept only until its last block is checked
+        last = {id(d): b for b, (_, d) in enumerate(self.blocks)}
+        composed = {}  # id(d) -> (sizes, squares)
+        smallest = None  # ((degree, global target, global source), value)
         for b, (members, d) in enumerate(self.blocks):
             for k, column in members.items():
                 of_k = owner[k]
@@ -240,26 +269,25 @@ class DeformedComplex:
                         el = self.basis[k][i]
                         raise InternalCheckError(f"{el} lies in blocks {of_k[i]} and {b}")
                     of_k[i] = b
-            for k, first in d.items():
-                rows, cols = len(members.get(k + 1, ())), len(members.get(k, ()))
-                by_source: dict[int, list[tuple[int, int | CycloNumber]]] = {}
-                for (t, s), v in d.get(k + 1, {}).items():
-                    by_source.setdefault(s, []).append((t, v))
-                composite: dict[tuple[int, int], int | CycloNumber] = {}
-                for (mid, src), v1 in first.items():
-                    if not (0 <= mid < rows and 0 <= src < cols):
-                        raise InternalCheckError(f"d_{k} entry {mid, src} lies outside block {b}")
-                    for tgt, v2 in by_source.get(mid, ()):
-                        cur = composite.get((tgt, src))
-                        composite[tgt, src] = v2 * v1 if cur is None else cur + v2 * v1
-                failures.update(((k, b, t, s), v) for (t, s), v in composite.items() if v)
-        if not failures:
+            sizes = [(k, len(members.get(k + 1, ())), len(members.get(k, ()))) for k in d]
+            held = composed.pop(id(d), None)
+            if held is None or held[0] != sizes:
+                for k, rows, cols in sizes:
+                    for r, c in d[k]:
+                        if not (0 <= r < rows and 0 <= c < cols):
+                            raise InternalCheckError(f"d_{k} entry {r, c} lies outside block {b}")
+            if held is None:
+                held = sizes, _squares(d)
+            if b < last[id(d)]:
+                composed[id(d)] = held
+            # every entry is in bounds, so the local keys map to global ones
+            for k, t, s, v in held[1]:
+                key = k, members[k + 2][t], members[k][s]
+                if smallest is None or key < smallest[0]:
+                    smallest = key, v
+        if smallest is None:
             return None
-        # every entry was found in bounds, so local keys map to global ones
-        k, tgt, src, value = min(
-            (k, self.blocks[b].members[k + 2][t], self.blocks[b].members[k][s], v)
-            for (k, b, t, s), v in failures.items()
-        )
+        (k, tgt, src), value = smallest
         return k, self.basis[k][src], self.basis[k + 2][tgt], self.field.one * value
 
     def check_states(self):

@@ -20,8 +20,8 @@ bound exceeded.  The bounds gate the work they measure, before it starts:
 ``--max-chain-dim`` the chain dimension of ``homology`` and ``complex``
 (no vertex is resolved past it), and ``--max-raw-states`` the n^4 label
 tuples of ``verify``'s lemma and the raw states of its projector suite.
-``states`` counts its resolution's states against the default chain
-dimension bound before it keeps any.
+``states`` walks its resolution's states once, cut one past the default
+chain dimension bound, and keeps them only for ``--list``.
 Diagrams are given as file paths or bundled fixture names;
 output is deterministic for fixed input and flags.
 """
@@ -53,7 +53,6 @@ from .potential import (
 from .resolution import p_parity, resolve
 from .states import (
     DEFAULT_MAX_RAW_STATES,
-    enumerate_admissible,
     iter_admissible,
     verify_projector_identities,
 )
@@ -173,13 +172,16 @@ def cmd_states(
         )
     choice = tuple(int(b) for b in bits)
     r = resolve(d, choice)
-    # counted before any is kept: a state holds a label per thin edge
-    past = islice(iter_admissible(r, cfg.n), cfg.max_chain_dim, None)
-    if next(past, None) is not None:
+    # one walk, cut one state past the bound; only --list keeps the states
+    # (a state holds a label per thin edge), sorted as enumerate_admissible
+    # sorts them
+    walk = islice(iter_admissible(r, cfg.n), cfg.max_chain_dim + 1)
+    states = list(walk) if list_states else None
+    count = len(states) if list_states else sum(1 for _ in walk)
+    if count > cfg.max_chain_dim:
         raise SizeBoundError(
             f"the resolution has more than {cfg.max_chain_dim} admissible states"
         )
-    states = enumerate_admissible(r, cfg.n)
     payload = {
         "diagram": name,
         "diagram_data": d.to_json(),
@@ -189,16 +191,17 @@ def cmd_states(
         "thick_edges": [list(t.slots) for t in r.thick_edges],
         "circles": list(r.circles),
         "parity": p_parity(r),
-        "admissible_count": len(states),
+        "admissible_count": count,
     }
     lines = [
         f"diagram: {name}, resolution {bits}",
         f"thin edges: {list(r.thin_edges)}",
         f"thick edges: {len(r.thick_edges)}, free circles: {len(r.circles)}, "
         f"parity {p_parity(r)}",
-        f"admissible states (n = {cfg.n}): {len(states)}",
+        f"admissible states (n = {cfg.n}): {count}",
     ]
     if list_states:
+        states.sort()
         payload["states"] = [list(s) for s in states]
         lines.extend(f"  {s}" for s in states)
     _emit(payload, lines, cfg)

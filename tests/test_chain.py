@@ -1,7 +1,9 @@
 """Differential assembly: local types, matched pairs, d^2 = 0, rescaling."""
 
 import gc
+import re
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -829,6 +831,119 @@ def test_negated_entry_is_the_first_failure_on_generated_diagrams(d, n, pick):
         assert (_assert_reports_first_failure(cx) is None) == (len(d) == 1)
     else:
         assert cx.check_d_squared() is None
+
+
+def _cubes(cx):
+    """Block numbers grouped by the ``d`` object they share, by first block."""
+    shared = {}
+    for b, (_, d) in enumerate(cx.blocks):
+        shared.setdefault(id(d), []).append(b)
+    return list(shared.values())
+
+
+def _shared_cube_with_squares(cx):
+    """The first cube of two or more blocks, not led by block 0, whose ``d``
+    has two degrees."""
+    return next(
+        cube for cube in _cubes(cx) if len(cube) > 1 and cube[0] and len(cx.blocks[cube[0]].d) > 1
+    )
+
+
+def test_fault_in_a_shared_cube_matrix_breaks_every_block_of_the_cube():
+    # a _cube that filed one wrong sign: every block of the cube holds it
+    cx = build_complex(fixture("figure_eight"), 3)
+    cube = _shared_cube_with_squares(cx)
+    d = cx.blocks[cube[0]].d
+    k = min(d)
+    key = min(d[k])
+    d[k][key] = -d[k][key]  # in place, in the shared matrix
+    assert all(cx.blocks[b].d is d for b in cube)
+    owner = block_of(cx)
+    failures = _whole_degree_failures(cx)
+    assert {owner[k][s] for k, _, s in failures} == set(cube)
+    k, _, src = min(failures)
+    assert owner[k][src] != cube[0]  # the smallest square lies in a later block
+    assert _assert_reports_first_failure(cx) is not None
+
+
+def test_block_given_its_own_copy_is_composed_on_its_own():
+    cx = build_complex(fixture("figure_eight"), 3)
+    cube = _shared_cube_with_squares(cx)
+    shared = cx.blocks[cube[0]].d
+    b = cube[len(cube) // 2]
+    d = own_block(cx, b)
+    k = max(d)
+    key = min(d[k])
+    d[k][key] = -d[k][key]
+    assert all(cx.blocks[c].d is shared for c in cube if c != b)
+    owner = block_of(cx)
+    assert {owner[k][s] for k, _, s in _whole_degree_failures(cx)} == {b}
+    assert _assert_reports_first_failure(cx) is not None
+    cx.blocks = cx.blocks[:b] + (chain.Block(cx.blocks[b].members, shared),) + cx.blocks[b + 1:]
+    assert cx.check_d_squared() is None  # the shared matrix is untouched
+
+
+class _CountingInt(int):
+    """An int that counts the products it enters."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _CountingInt.products += 1
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+def test_a_shared_matrix_is_composed_once_however_many_blocks_share_it():
+    cx = build_complex(fixture("figure_eight"), 3)
+    cube = _shared_cube_with_squares(cx)
+    d = cx.blocks[cube[0]].d
+    counted = {k: {key: _CountingInt(v) for key, v in es.items()} for k, es in d.items()}
+    # products of one composition: d_k entries times d_{k+1} entries they feed
+    sources = {k: [s for _, s in es] for k, es in d.items()}
+    expected = sum(sources.get(k + 1, []).count(mid) for k, es in d.items() for mid, _ in es)
+    assert expected > 0
+    for holders in (cube[:1], cube):
+        blocks = list(cx.blocks)
+        for b in holders:
+            blocks[b] = chain.Block(cx.blocks[b].members, counted)
+        shared = replace(cx, blocks=tuple(blocks))
+        _CountingInt.products = 0
+        assert shared.check_d_squared() is None
+        assert _CountingInt.products == expected, holders
+
+
+def test_each_block_sharing_a_matrix_is_checked_for_bounds():
+    # a later block of the cube, one member short, still shares the cube's d
+    cx = build_complex(fixture("figure_eight"), 3)
+    cube = _shared_cube_with_squares(cx)
+    b = cube[-1]
+    members, d = cx.blocks[b]
+    k = max(d)
+    short = {**members, k + 1: members[k + 1][:-1]}
+    cx.blocks = cx.blocks[:b] + (chain.Block(short, d),) + cx.blocks[b + 1:]
+    outside = next((t, s) for t, s in d[k] if t == len(short[k + 1]))
+    with pytest.raises(
+        InternalCheckError, match=re.escape(f"d_{k} entry {outside} lies outside block {b}")
+    ):
+        cx.check_d_squared()
+
+
+def test_bounds_fault_in_a_shared_matrix_names_the_first_block_that_holds_it():
+    cx = build_complex(fixture("figure_eight"), 3)
+    cube = _shared_cube_with_squares(cx)
+    members, d = cx.blocks[cube[0]]
+    k = max(d)
+    (t, s), v = next(iter(d[k].items()))
+    del d[k][t, s]
+    d[k][len(members[k + 1]), s] = v  # the first entry out of bounds
+    d[k][-1, s] = v
+    with pytest.raises(
+        InternalCheckError,
+        match=re.escape(f"d_{k} entry {len(members[k + 1]), s} lies outside block {cube[0]}"),
+    ):
+        cx.check_d_squared()
 
 
 def test_basis_ordering_contract():

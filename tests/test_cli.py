@@ -8,11 +8,13 @@ import pytest
 
 from test_states import _torus_pd
 
-from slndeform import chain, cli, homology
+from slndeform import chain, cli, homology, states
 from slndeform.cli import RunConfig, main
 from slndeform.cyclotomic import CycloNumber
 from slndeform.diagram import parse_pd
 from slndeform.errors import SizeBoundError
+from slndeform.fixtures import fixture
+from slndeform.resolution import resolve
 
 HOMOLOGY_SCHEMA = {
     "type": "object",
@@ -349,7 +351,7 @@ def test_states_past_the_bound_exits_3_before_any_state_is_kept(tmp_path, capsys
 
     config = cli._config
     monkeypatch.setattr(cli, "_config", lambda args: replace(config(args), max_chain_dim=1000))
-    monkeypatch.setattr(cli, "enumerate_admissible", never)
+    monkeypatch.setattr(states, "enumerate_admissible", never)
     f = tmp_path / "t21001.pd"
     f.write_text(_torus_pd(1001))
     code, out, err = _run(capsys, "states", str(f), "--n", "2", "--resolution", "1" * 1001)
@@ -368,6 +370,48 @@ def test_states_bound_counts_the_states_exactly(capsys):
                 "t", parse_pd(_torus_pd(k)), "1" * k, False, RunConfig(n=2, max_chain_dim=bound)
             )
     assert capsys.readouterr().out == ""
+
+
+def test_states_walks_the_resolution_once(capsys, monkeypatch):
+    d = fixture("trefoil_right")
+    expected = states.enumerate_admissible(resolve(d, (1, 1, 1)), 3)
+    walk, walks = states.iter_admissible, []
+
+    def spy(r, n):
+        walks.append(n)
+        return walk(r, n)
+
+    def never(*args):
+        raise AssertionError("enumerate_admissible was called")
+
+    # enumerate_admissible walks through states' own iter_admissible
+    monkeypatch.setattr(cli, "iter_admissible", spy)
+    monkeypatch.setattr(states, "iter_admissible", spy)
+    monkeypatch.setattr(states, "enumerate_admissible", never)
+    for list_states in (False, True):
+        walks.clear()
+        assert cli.cmd_states("trefoil_right", d, "111", list_states, RunConfig(n=3)) == 0
+        assert walks == [3]
+    out = capsys.readouterr().out
+    assert out.count("admissible states (n = 3): 24") == 2
+    assert out.splitlines()[-24:] == [f"  {s}" for s in expected]
+
+
+@pytest.mark.parametrize("list_states", [False, True])
+def test_states_bound_admits_exactly_the_count(list_states, capsys, monkeypatch):
+    # trefoil_right at n = 3, resolution 111: 24 admissible states
+    d = fixture("trefoil_right")
+    config = RunConfig(n=3, max_chain_dim=24, fmt="json")
+    assert cli.cmd_states("trefoil_right", d, "111", list_states, config) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["admissible_count"] == 24
+    assert ("states" in payload) == list_states
+    parse_args = cli._config
+    monkeypatch.setattr(cli, "_config", lambda args: replace(parse_args(args), max_chain_dim=23))
+    argv = ["states", "trefoil_right", "--n", "3", "--resolution", "111"]
+    code, out, err = _run(capsys, *argv, *(["--list"] if list_states else []))
+    assert code == 3 and out == ""
+    assert err == "size bound exceeded: the resolution has more than 23 admissible states\n"
 
 
 def test_states_rejects_options_it_does_not_read(capsys):
