@@ -36,7 +36,11 @@ resolved.  Labelling the Seifert circles with two labels gives a coloring
 free at every crossing, so the chain dimension is at least 2^k * n^loops
 for k crossings: that bound refuses a diagram before the walk starts, and
 is the only gate on the crossing count.  Each vertex is resolved only to
-read its states off the colorings; the resolution-based
+read its states off the colorings, and sorts them once.  The basis keeps
+those runs, not one record per element: ``basis[k]`` is a ``BasisColumn``
+of each degree-k vertex's sorted states, without the free loops' labels,
+and the loop labellings that prefix them, and it builds a
+``ChainBasisElement`` only when one is read.  The resolution-based
 ``enumerate_admissible`` stays the oracle for that walk
 (``DeformedComplex.check_states``), and ``matched_pairs`` the classifying
 reference for the entries.  The ranks and rescaling run block by block;
@@ -49,9 +53,11 @@ from __future__ import annotations
 
 import enum
 import random
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import islice, product, repeat, starmap
-from operator import add, eq
+from operator import add, eq, itemgetter
 from typing import NamedTuple
 
 from .cyclotomic import CycloField, CycloNumber
@@ -65,6 +71,7 @@ __all__ = [
     "classify_local",
     "matched_pairs",
     "ChainBasisElement",
+    "BasisColumn",
     "Block",
     "DeformedComplex",
     "build_complex",
@@ -169,6 +176,49 @@ class ChainBasisElement(NamedTuple):
     degree: int
 
 
+class BasisColumn(Sequence):
+    """The basis of one degree, kept as its vertices' state runs.
+
+    ``runs`` holds (vertex, states, start) for each vertex of the degree
+    with a state, in lexicographic vertex order: its arc states sorted once,
+    without the free loops' labels, and the index of its first element.
+    ``loops`` holds the loop labellings in order.  A run spans
+    len(loops) * len(states) elements, loop labelling outer and state
+    inner, so element ``start + a * len(states) + b`` is
+    ``ChainBasisElement(vertex, loops[a] + states[b], degree)``: the order
+    of the sorted (vertex, state) pairs.  Records are built only on read,
+    one per ``column[i]`` and in bulk by iteration; a slice gives a tuple of
+    them, and ``index``, ``count`` and ``in`` compare them as a tuple's
+    items.  Code that needs only the size reads ``len``.
+    """
+
+    __slots__ = ("degree", "loops", "runs", "_len")
+
+    def __init__(self, degree: int, loops: tuple[tuple[int, ...], ...], runs):
+        self.degree, self.loops, self.runs = degree, loops, tuple(runs)
+        self._len = len(loops) * sum(len(states) for _, states, _ in self.runs)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(self._len)[i]))
+        j = i + self._len if i < 0 else i
+        if not 0 <= j < self._len:
+            raise IndexError("basis column index out of range")
+        vertex, states, start = self.runs[bisect_right(self.runs, j, key=itemgetter(2)) - 1]
+        a, b = divmod(j - start, len(states))
+        return ChainBasisElement(vertex, self.loops[a] + states[b], self.degree)
+
+    def __iter__(self):
+        for vertex, states, _ in self.runs:
+            yield from records(
+                ChainBasisElement,
+                repeat(vertex), starmap(add, product(self.loops, states)), repeat(self.degree),
+            )
+
+
 class Block(NamedTuple):
     """An arc-coloring block: its members per degree and its local matrices.
 
@@ -200,8 +250,11 @@ def _squares(d):
 
 @dataclass
 class DeformedComplex:
-    """Basis lists per degree plus the differential in direct-sum form.
+    """The basis per degree plus the differential in direct-sum form.
 
+    ``basis[k]`` is a ``BasisColumn``: each degree-k vertex's sorted states,
+    kept once, with the ``ChainBasisElement`` records built on read; its
+    positions are the global basis indices the blocks' ``members`` hold.
     ``blocks`` holds a ``Block`` per arc coloring with a free crossing and
     labelling of the free loops, in walk order; no block holds an empty
     degree.  A value is the int 1 or -1 from ``build_complex``, and a
@@ -219,7 +272,7 @@ class DeformedComplex:
     field: CycloField
     colorings: list[tuple[tuple[int, ...], int, int]]
     degrees: tuple[int, ...]
-    basis: dict[int, tuple[ChainBasisElement, ...]]
+    basis: dict[int, BasisColumn]
     blocks: tuple[Block, ...]
 
     @property
@@ -295,15 +348,20 @@ class DeformedComplex:
 
         The resolution-based enumeration is the oracle for the arc-coloring
         walk that ``build_complex`` assembles from: at every vertex the
-        complex's states, in basis order, must be exactly its states.
+        complex's states, in basis order, must be exactly its states.  They
+        are read off the columns' runs, each state prefixed by every loop
+        labelling, with no ``ChainBasisElement`` built.
         """
-        found: dict[tuple, list] = {}
-        for k in self.degrees:
-            for el in self.basis[k]:
-                found.setdefault(el.vertex, []).append(el.state)
+        runs = {
+            v: (column.loops, states)
+            for column in self.basis.values()
+            for v, states, _ in column.runs
+        }
         d = self.diagram
         for v in product((0, 1), repeat=len(d.crossings)):
-            if tuple(found.get(v, ())) != enumerate_admissible(resolve(d, v), self.n):
+            loops, states = runs.get(v, ((), ()))
+            found = tuple(starmap(add, product(loops, states)))
+            if found != enumerate_admissible(resolve(d, v), self.n):
                 return v
         return None
 
@@ -493,26 +551,27 @@ def build_complex(
             numbers[m].append(count)
             count += 1
 
-    basis: dict[int, list[ChainBasisElement]] = {}
-    loops = list(product(range(n), repeat=d.free_loops))
+    loops = tuple(product(range(n), repeat=d.free_loops))
+    runs: dict[int, list] = {}  # degree -> its vertices' (vertex, states, start)
+    dim: dict[int, int] = {}  # degree -> its elements so far
     place = [0] * count  # member -> its index in its column, in the first loop run
     size = [0] * len(vertices)  # vertex -> its arc states, one run per loop labelling
     for m, v in enumerate(vertices):  # lexicographic vertex order, then state order
         kv, found, numbered = vdeg[m], states[m], numbers[m]
         order = sorted(range(len(found)), key=found.__getitem__)
-        ordered = [found[i] for i in order]
+        ordered = tuple([found[i] for i in order])
         if any(map(eq, ordered, islice(ordered, 1, None))):
             twice = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
             raise InternalCheckError(
                 f"vertex {v} receives state {twice} twice: an arc coloring was listed twice"
             )
-        column = basis.setdefault(kv, [])
-        for p, i in enumerate(order, len(column)):
+        start = dim.setdefault(kv, 0)
+        for p, i in enumerate(order, start):
             place[numbered[i]] = p
         size[m] = len(ordered)
-        column.extend(records(  # one run of the vertex's states per loop labelling
-            ChainBasisElement, repeat(v), starmap(add, product(loops, ordered)), repeat(kv)
-        ))
+        if ordered:
+            runs.setdefault(kv, []).append((v, ordered, start))
+            dim[kv] = start + len(loops) * len(ordered)
         states[m] = numbers[m] = None
 
     # a block per coloring with a free crossing and loop labelling
@@ -533,8 +592,8 @@ def build_complex(
         n=n,
         field=CycloField(n),
         colorings=colorings,
-        degrees=tuple(sorted(basis)),
-        basis={k_: tuple(b) for k_, b in basis.items()},
+        degrees=tuple(sorted(dim)),
+        basis={kv: BasisColumn(kv, loops, runs.get(kv, ())) for kv in dim},
         blocks=tuple(blocks),
     )
 
@@ -549,7 +608,7 @@ def rescale_basis(cx: DeformedComplex, seed: int) -> DeformedComplex:
     scalars = {}
     for k in cx.degrees:
         col = []
-        for _ in cx.basis[k]:
+        for _ in range(len(cx.basis[k])):
             p = rng.randint(1, 5) * rng.choice((1, -1))
             q = rng.randint(1, 4)
             col.append((rng.randrange(cx.n), p, q))

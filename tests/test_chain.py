@@ -5,7 +5,8 @@ import re
 import time
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat, starmap
+from operator import add
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +16,8 @@ from test_states import _braid_closure, _torus_pd, braid_diagrams
 
 from slndeform import chain, cyclotomic
 from slndeform.chain import (
+    BasisColumn,
+    ChainBasisElement,
     LocalType,
     _partners,
     build_complex,
@@ -28,7 +31,7 @@ from slndeform.diagram import parse, parse_pd, parse_signed, render_signed
 from slndeform.errors import InternalCheckError, SizeBoundError
 from slndeform.fixtures import fixture, fixture_names
 from slndeform.homology import compute_homology, cross_validate
-from slndeform.resolution import degree as vertex_degree, resolve
+from slndeform.resolution import degree as vertex_degree, records, resolve
 from slndeform.states import enumerate_admissible
 
 
@@ -952,6 +955,105 @@ def test_basis_ordering_contract():
         elements = cx.basis[k]
         keys = [(el.vertex, el.state) for el in elements]
         assert keys == sorted(keys)
+
+
+def _eager_basis(d, n):
+    """Each degree's basis built the eager way, one record per element.
+
+    A vertex's arc states are its ``enumerate_admissible`` states with the
+    loop labels cut off, sorted; every loop labelling prefixes them all.
+    """
+    loops = list(product(range(n), repeat=d.free_loops))
+    basis = {}
+    for v in product((0, 1), repeat=len(d.crossings)):
+        k = vertex_degree(d, v)
+        states = sorted({s[d.free_loops:] for s in enumerate_admissible(resolve(d, v), n)})
+        basis.setdefault(k, []).extend(records(
+            ChainBasisElement, repeat(v), starmap(add, product(loops, states)), repeat(k)
+        ))
+    return {k: tuple(col) for k, col in basis.items()}
+
+
+def _same_index(column, reference, value, *span):
+    """``column.index`` answers as the tuple's ``index`` does, ValueError included."""
+    try:
+        expected = reference.index(value, *span)
+    except ValueError:
+        with pytest.raises(ValueError):
+            column.index(value, *span)
+    else:
+        assert column.index(value, *span) == expected
+
+
+LOOP_CASES = [
+    ("U U U", 4),
+    ("X[1,2,2,1] U U", 3),
+    ("C[+;1,2,3,4] C[+;4,3,2,1] U U U", 3),
+]
+
+
+@pytest.mark.parametrize(
+    "code, n", [(name, n) for name in fixture_names() for n in (2, 3)] + LOOP_CASES
+)
+def test_basis_column_reads_as_the_eager_tuple(code, n):
+    d = fixture(code) if code in fixture_names() else parse(code)
+    cx = build_complex(d, n)
+    eager = _eager_basis(d, n)
+    assert cx.degrees == tuple(sorted(eager))
+    for k, column in cx.basis.items():
+        reference = eager[k]
+        size = len(reference)
+        assert type(column) is BasisColumn and len(column) == size
+        read = list(column)
+        assert read == list(reference)
+        assert [column[i] for i in range(size)] == read
+        assert [column[i] for i in range(-size, 0)] == read
+        for el, ref in zip(read, reference):
+            assert type(el) is ChainBasisElement and repr(el) == repr(ref)
+        for i in (size, -size - 1):
+            with pytest.raises(IndexError):
+                column[i]
+        for cut in (slice(None), slice(1, -1), slice(None, None, -1), slice(-3, None, 2),
+                    slice(size + 5, None)):
+            assert column[cut] == reference[cut]
+        absent = ChainBasisElement((2,) * len(d.crossings), (n,), k)
+        assert column.count(absent) == 0 and absent not in column
+        _same_index(column, reference, absent)
+        if size:
+            assert column[-1] == reference[-1]
+            for i in {0, size // 2, size - 1}:
+                el = reference[i]
+                assert column.count(el) == 1 and el in column
+                for span in ((), (i,), (i + 1,), (0, i), (-size, i + 1), (-1,)):
+                    _same_index(column, reference, el, *span)
+
+
+def test_no_basis_record_outlives_build_or_cross_validate():
+    # the basis keeps its vertices' runs; the eager layout would hold a
+    # ChainBasisElement, which the collector tracks, per element
+    d = parse("U U U U U U")
+    gc.collect()
+    before = [o for o in gc.get_objects() if type(o) is ChainBasisElement]
+    seen = {id(o) for o in before}
+    cx = build_complex(d, 3)
+    report = cross_validate(d, 3)
+    assert len(cx.basis[0]) == 3 ** 6 and report.passed
+    held = [o for o in gc.get_objects() if type(o) is ChainBasisElement and id(o) not in seen]
+    assert held == []
+
+
+@pytest.mark.parametrize("code, n", [("figure_eight", 2), ("C[+;1,2,3,4] C[+;4,3,2,1] U U U", 3)])
+def test_check_states_names_the_vertex_of_a_changed_run(code, n):
+    d = fixture(code) if code in fixture_names() else parse(code)
+    cx = build_complex(d, n)
+    assert cx.check_states() is None
+    for k, column in cx.basis.items():
+        for r, (vertex, states, start) in enumerate(column.runs):
+            # label n is no label: the replaced state is admissible nowhere
+            changed = states[:-1] + ((n,) * len(states[-1]),)
+            runs = column.runs[:r] + ((vertex, changed, start),) + column.runs[r + 1:]
+            bad = replace(cx, basis={**cx.basis, k: BasisColumn(k, column.loops, runs)})
+            assert bad.check_states() == vertex
 
 
 def test_positional_third_argument_is_rejected():
