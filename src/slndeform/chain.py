@@ -29,30 +29,37 @@ The differential keeps every arc's label, so the complex is a direct sum
 of blocks, one per arc coloring: the cube over the crossings free for it.
 Its entries depend only on the cube (the forced-one and free crossings),
 so ``DeformedComplex.blocks`` stores each cube's local matrices once, and
-a block adds only its members.  ``build_complex`` takes the cubes from one
-walk over the arc colorings (``_arc_colorings``), which also counts the
-chain dimension, so ``max_chain_dim`` stops a run before any vertex is
-resolved.  Labelling the Seifert circles with two labels gives a coloring
-free at every crossing, so the chain dimension is at least 2^k * n^loops
-for k crossings: that bound refuses a diagram before the walk starts, and
-is the only gate on the crossing count.  Each vertex is resolved only to
-read its states off the colorings, and sorts them once.  The basis keeps
-those runs, not one record per element: ``basis[k]`` is a ``BasisColumn``
-of each degree-k vertex's sorted states, without the free loops' labels,
-and the loop labellings that prefix them, and it builds a
-``ChainBasisElement`` only when one is read.  The resolution-based
-``enumerate_admissible`` stays the oracle for that walk
-(``DeformedComplex.check_states``), and ``matched_pairs`` the classifying
-reference for the entries.  The ranks and rescaling run block by block;
-d o d is composed once per distinct block matrix, and each block is
-checked against it on its own: its bounds, its members owned by no other
-block, and its squares mapped to global indices.
+a block adds only its members, an ``array`` of global indices per degree.
+``build_complex`` takes the cubes from one walk over the arc colorings
+(``_arc_colorings``), which also counts the chain dimension, so
+``max_chain_dim`` stops a run before any vertex is resolved.  Labelling
+the Seifert circles with two labels gives a coloring free at every
+crossing, so the chain dimension is at least 2^k * n^loops for k
+crossings: that bound refuses a diagram before the walk starts, and is
+the only gate on the crossing count.
+
+The basis keeps no state and no record per element.  Each vertex is
+resolved only for the reader of its states off a coloring's labels; it
+keeps the indices of the colorings whose cube holds it, sorted once by
+the states they give, as an ``array``, and drops the states.
+``basis[k]`` is a ``BasisColumn`` of those runs and the loop labellings
+that prefix them, which reads a state, and builds a ``ChainBasisElement``,
+only when one is read.  The resolution-based ``enumerate_admissible``
+stays the oracle for that walk (``DeformedComplex.check_states``), and
+``matched_pairs`` the classifying reference for the entries.  d o d is
+composed once per distinct block matrix, and ``homology.compute_homology``
+ranks once per distinct block matrix and block sizes; every block is
+still checked on its own: its bounds, its members owned by no other
+block, and its squares mapped to global indices.  Rescaling gives every
+block its own matrices, so a rescaled complex is composed and ranked
+block by block.
 """
 
 from __future__ import annotations
 
 import enum
 import random
+from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -79,7 +86,9 @@ __all__ = [
     "DEFAULT_MAX_CHAIN_DIM",
 ]
 
-DEFAULT_MAX_CHAIN_DIM = 500_000  # admits T(2,9) at n = 4: 118,108 elements
+# admits T(2,11) at n = 4: 1,062,892 elements; ``slndeform homology`` on it
+# takes about 2.5 s at 111 MB peak RSS (Python 3.11)
+DEFAULT_MAX_CHAIN_DIM = 1_100_000
 
 
 class LocalType(enum.Enum):
@@ -176,27 +185,39 @@ class ChainBasisElement(NamedTuple):
     degree: int
 
 
-class BasisColumn(Sequence):
-    """The basis of one degree, kept as its vertices' state runs.
+_LABELS = itemgetter(0)  # a coloring triple's labels
 
-    ``runs`` holds (vertex, states, start) for each vertex of the degree
-    with a state, in lexicographic vertex order: its arc states sorted once,
-    without the free loops' labels, and the index of its first element.
-    ``loops`` holds the loop labellings in order.  A run spans
-    len(loops) * len(states) elements, loop labelling outer and state
-    inner, so element ``start + a * len(states) + b`` is
-    ``ChainBasisElement(vertex, loops[a] + states[b], degree)``: the order
-    of the sorted (vertex, state) pairs.  Records are built only on read,
-    one per ``column[i]`` and in bulk by iteration; a slice gives a tuple of
-    them, and ``index``, ``count`` and ``in`` compare them as a tuple's
+
+def _read_states(colorings, read, held) -> list:
+    """The arc states ``read`` takes off the labels of ``colorings[c]``, c in ``held``."""
+    return list(map(read, map(_LABELS, map(colorings.__getitem__, held))))
+
+
+class BasisColumn(Sequence):
+    """The basis of one degree, kept as its vertices' runs of coloring indices.
+
+    ``colorings`` is the complex's list of (labels, free, ones) triples.
+    ``runs`` holds (vertex, read, held, start) for each vertex of the degree
+    with a state, in lexicographic vertex order: the vertex's ``reader`` of
+    its arc state, without the free loops' labels, off a coloring's labels;
+    the indices in ``colorings`` of the colorings whose cube holds the
+    vertex, as an ``array`` sorted by the states they give; and the index of
+    its first element.  ``loops`` holds the loop labellings in order.  A run
+    spans len(loops) * len(held) elements, loop labelling outer and state
+    inner, so element ``start + a * len(held) + b`` is
+    ``ChainBasisElement(vertex, loops[a] + read(labels of colorings[held[b]]),
+    degree)``: the order of the sorted (vertex, state) pairs.  No state is
+    kept: states and records are built only on read, one per ``column[i]``
+    and in bulk, a run at a time, by iteration; a slice gives a tuple of
+    records, and ``index``, ``count`` and ``in`` compare them as a tuple's
     items.  Code that needs only the size reads ``len``.
     """
 
-    __slots__ = ("degree", "loops", "runs", "_len")
+    __slots__ = ("degree", "loops", "colorings", "runs", "_len")
 
-    def __init__(self, degree: int, loops: tuple[tuple[int, ...], ...], runs):
-        self.degree, self.loops, self.runs = degree, loops, tuple(runs)
-        self._len = len(loops) * sum(len(states) for _, states, _ in self.runs)
+    def __init__(self, degree: int, loops: tuple[tuple[int, ...], ...], colorings, runs):
+        self.degree, self.loops, self.colorings, self.runs = degree, loops, colorings, tuple(runs)
+        self._len = len(loops) * sum(len(held) for _, _, held, _ in self.runs)
 
     def __len__(self) -> int:
         return self._len
@@ -207,12 +228,15 @@ class BasisColumn(Sequence):
         j = i + self._len if i < 0 else i
         if not 0 <= j < self._len:
             raise IndexError("basis column index out of range")
-        vertex, states, start = self.runs[bisect_right(self.runs, j, key=itemgetter(2)) - 1]
-        a, b = divmod(j - start, len(states))
-        return ChainBasisElement(vertex, self.loops[a] + states[b], self.degree)
+        vertex, read, held, start = self.runs[bisect_right(self.runs, j, key=itemgetter(3)) - 1]
+        a, b = divmod(j - start, len(held))
+        return ChainBasisElement(
+            vertex, self.loops[a] + read(self.colorings[held[b]][0]), self.degree
+        )
 
     def __iter__(self):
-        for vertex, states, _ in self.runs:
+        for vertex, read, held, _ in self.runs:
+            states = _read_states(self.colorings, read, held)
             yield from records(
                 ChainBasisElement,
                 repeat(vertex), starmap(add, product(self.loops, states)), repeat(self.degree),
@@ -223,12 +247,18 @@ class Block(NamedTuple):
     """An arc-coloring block: its members per degree and its local matrices.
 
     ``members[k]`` holds the global basis indices of the block's degree-k
-    members, in ascending order.  ``d[k]`` is {(row, column): value}, the
-    row a position in ``members[k + 1]`` and the column one in ``members[k]``.
+    members, in ascending order, as an ``array``.  ``d[k]`` is
+    {(row, column): value}, the row a position in ``members[k + 1]`` and
+    the column one in ``members[k]``.
     """
 
-    members: dict[int, tuple[int, ...]]
+    members: dict[int, Sequence[int]]
     d: dict[int, dict[tuple[int, int], int | CycloNumber]]
+
+    def sizes(self) -> tuple[tuple[int, int, int], ...]:
+        """(k, rows, columns) for each d[k]: the members in degrees k + 1 and k."""
+        members = self.members
+        return tuple([(k, len(members.get(k + 1, ())), len(members.get(k, ()))) for k in self.d])
 
 
 def _squares(d):
@@ -252,9 +282,10 @@ def _squares(d):
 class DeformedComplex:
     """The basis per degree plus the differential in direct-sum form.
 
-    ``basis[k]`` is a ``BasisColumn``: each degree-k vertex's sorted states,
-    kept once, with the ``ChainBasisElement`` records built on read; its
-    positions are the global basis indices the blocks' ``members`` hold.
+    ``basis[k]`` is a ``BasisColumn``: each degree-k vertex's colorings, as
+    indices in ``colorings`` sorted by the states they give, with states
+    and ``ChainBasisElement`` records read on demand; its positions are
+    the global basis indices the blocks' ``members`` hold.
     ``blocks`` holds a ``Block`` per arc coloring with a free crossing and
     labelling of the free loops, in walk order; no block holds an empty
     degree.  A value is the int 1 or -1 from ``build_complex``, and a
@@ -263,8 +294,8 @@ class DeformedComplex:
     crossing-major (free crossings outer, members inner), an order the
     matching in ``homology.matrix_rank`` relies on.  ``colorings`` keeps
     the walk's (labels, free, ones) triples in walk order (see
-    ``_arc_colorings``); a coloring with no free crossing is a cube of one
-    member, which no block holds.
+    ``_arc_colorings``), off which the basis reads every state; a coloring
+    with no free crossing is a cube of one member, which no block holds.
     """
 
     diagram: LinkDiagram
@@ -314,7 +345,8 @@ class DeformedComplex:
         last = {id(d): b for b, (_, d) in enumerate(self.blocks)}
         composed = {}  # id(d) -> (sizes, squares)
         smallest = None  # ((degree, global target, global source), value)
-        for b, (members, d) in enumerate(self.blocks):
+        for b, block in enumerate(self.blocks):
+            members, d = block
             for k, column in members.items():
                 of_k = owner[k]
                 for i in column:
@@ -322,7 +354,7 @@ class DeformedComplex:
                         el = self.basis[k][i]
                         raise InternalCheckError(f"{el} lies in blocks {of_k[i]} and {b}")
                     of_k[i] = b
-            sizes = [(k, len(members.get(k + 1, ())), len(members.get(k, ()))) for k in d]
+            sizes = block.sizes()
             held = composed.pop(id(d), None)
             if held is None or held[0] != sizes:
                 for k, rows, cols in sizes:
@@ -349,18 +381,22 @@ class DeformedComplex:
         The resolution-based enumeration is the oracle for the arc-coloring
         walk that ``build_complex`` assembles from: at every vertex the
         complex's states, in basis order, must be exactly its states.  They
-        are read off the columns' runs, each state prefixed by every loop
+        are read off the columns' runs, a run at a time, through the run's
+        reader from the colorings, each state prefixed by every loop
         labelling, with no ``ChainBasisElement`` built.
         """
         runs = {
-            v: (column.loops, states)
+            v: (column, read, held)
             for column in self.basis.values()
-            for v, states, _ in column.runs
+            for v, read, held, _ in column.runs
         }
         d = self.diagram
         for v in product((0, 1), repeat=len(d.crossings)):
-            loops, states = runs.get(v, ((), ()))
-            found = tuple(starmap(add, product(loops, states)))
+            found = ()
+            if v in runs:
+                column, read, held = runs[v]
+                states = _read_states(column.colorings, read, held)
+                found = tuple(starmap(add, product(column.loops, states)))
             if found != enumerate_admissible(resolve(d, v), self.n):
                 return v
         return None
@@ -515,9 +551,10 @@ def build_complex(
     n < 2 raises ValueError.  A chain dimension past ``max_chain_dim``
     raises SizeBoundError before any vertex is resolved: at once when the
     lower bound 2^k * n^loops passes it (see the module docstring), else
-    from ``_arc_colorings``.  Each member of a coloring's cube reads its
-    state off the coloring through its vertex's ``Resolution.reads``; each
-    vertex sorts its states once, and one state arriving twice (a coloring
+    from ``_arc_colorings``.  Each vertex records the colorings whose cube
+    holds it, then reads their states through its ``Resolution.reads``,
+    sorts the coloring indices by them once and drops them, so the states
+    of one vertex at a time are held; one state arriving twice (a coloring
     listed twice) raises InternalCheckError.  A coloring with free crossings
     gives a block for each labelling of the free loops, in walk order, which
     shares its cube's local matrices (``_cube``, built once per cube).
@@ -536,56 +573,59 @@ def build_complex(
     vdeg = [vertex_degree(d, v) for v in vertices]
     read = [reader(resolve(d, v).reads[d.free_loops:]) for v in vertices]  # loops lead
 
-    # each member's arc state at its vertex, beside its member number
-    # (colorings in order, each cube's members in subset order)
+    # the colorings whose cube holds each vertex, in walk order (a list
+    # holds a pointer per member to one int per coloring)
     cubes: dict[tuple[int, int], tuple] = {}  # (ones, free) -> _cube's answer
-    states: list[list] = [[] for _ in vertices]
-    numbers: list[list[int]] = [[] for _ in vertices]
-    count = 0
-    for labels, free, ones in colorings:
+    held = [[] for _ in vertices]
+    for c, (labels, free, ones) in enumerate(colorings):
         cube = cubes.get((ones, free))
         if cube is None:
             cube = cubes[ones, free] = _cube(ones, free, vdeg, d.crossings)
         for m in cube[0]:
-            states[m].append(read[m](labels))
-            numbers[m].append(count)
-            count += 1
+            held[m].append(c)
 
+    # each vertex reads its states, sorts its colorings by them and drops
+    # them; ``held[m]`` then turns into its colorings' places in its column,
+    # in walk order, in the first loop run, kept as an array since every
+    # place is its own int
     loops = tuple(product(range(n), repeat=d.free_loops))
-    runs: dict[int, list] = {}  # degree -> its vertices' (vertex, states, start)
+    runs: dict[int, list] = {}  # degree -> its vertices' (vertex, read, held, start)
     dim: dict[int, int] = {}  # degree -> its elements so far
-    place = [0] * count  # member -> its index in its column, in the first loop run
     size = [0] * len(vertices)  # vertex -> its arc states, one run per loop labelling
     for m, v in enumerate(vertices):  # lexicographic vertex order, then state order
-        kv, found, numbered = vdeg[m], states[m], numbers[m]
+        kv, mine = vdeg[m], held[m]
+        found = _read_states(colorings, read[m], mine)
         order = sorted(range(len(found)), key=found.__getitem__)
-        ordered = tuple([found[i] for i in order])
+        ordered = [found[i] for i in order]
         if any(map(eq, ordered, islice(ordered, 1, None))):
             twice = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
             raise InternalCheckError(
                 f"vertex {v} receives state {twice} twice: an arc coloring was listed twice"
             )
+        del found, ordered  # one vertex's states at a time
         start = dim.setdefault(kv, 0)
+        size[m] = len(order)
+        if order:
+            sorted_held = array("q", map(mine.__getitem__, order))
+            runs.setdefault(kv, []).append((v, read[m], sorted_held, start))
+            dim[kv] = start + len(loops) * len(order)
+        held[m] = place = array("q", order)
         for p, i in enumerate(order, start):
-            place[numbered[i]] = p
-        size[m] = len(ordered)
-        if ordered:
-            runs.setdefault(kv, []).append((v, ordered, start))
-            dim[kv] = start + len(loops) * len(ordered)
-        states[m] = numbers[m] = None
+            place[i] = p
 
-    # a block per coloring with a free crossing and loop labelling
+    # a block per coloring with a free crossing and loop labelling; each
+    # vertex's places are taken in the walk order they were recorded in
     blocks = []
-    first = 0  # the member number of the coloring's first member
+    places = [iter(place) for place in held]  # vertex -> its places, in walk order
     for _, free, ones in colorings:
         at, groups, local = cubes[ones, free]
+        got = [next(places[m]) for m in at]
         if free:
             for run in range(len(loops)):
                 blocks.append(Block({
-                    kv: tuple([place[first + j] + run * size[m] for j, m in group])
+                    kv: array("q", [got[j] + run * size[m] for j, m in group])
                     for kv, group in groups.items()
                 }, local))
-        first += len(at)
 
     return DeformedComplex(
         diagram=d,
@@ -593,7 +633,7 @@ def build_complex(
         field=CycloField(n),
         colorings=colorings,
         degrees=tuple(sorted(dim)),
-        basis={kv: BasisColumn(kv, loops, runs.get(kv, ())) for kv in dim},
+        basis={kv: BasisColumn(kv, loops, colorings, runs.get(kv, ())) for kv in dim},
         blocks=tuple(blocks),
     )
 

@@ -11,9 +11,13 @@
   the rank when it meets a proven ceiling, and otherwise falls back to
   exact sparse Gaussian elimination with sparsest-row pivoting.  The
   ceiling rests on d o d = 0, which ``check_d_squared`` checks (run by
-  ``cross_validate`` and by ``slndeform verify``).  A block is ranked as
-  stored, its rows and columns the positions of its members.  The
-  generators are the basis elements that no block holds: exactly the arc
+  ``cross_validate`` and by ``slndeform verify``).  Blocks of one cube
+  share their ``d``, so each distinct ``d`` (found by ``id``) and block
+  sizes is ranked once, as stored, its rows and columns the positions of
+  the block's members, and its rank counts for every block that holds it
+  (``matrix_rank``'s ``copies``).  A rescaled complex gives every block
+  its own ``d``, so it is ranked block by block.  The generators are the
+  basis elements that no block holds: exactly the arc
   colorings with no free crossing (``DeformedComplex.colorings``), each
   read straight off its coloring: its vertex is the mask of its forced
   1-bits, whose signed count is the degree, and its coloring of the
@@ -87,19 +91,26 @@ __all__ = [
 # Exact rank of a sparse matrix over Q or Q(zeta_n)
 # ----------------------------------------------------------------------
 
-def matrix_rank(entries: dict, nrows: int, *, ceiling: int | None = None) -> int:
-    """Rank of the matrix {(row, column): value} with rows 0..nrows-1.
+def matrix_rank(
+    entries: dict, nrows: int, *, ceiling: int | None = None, copies: int = 1
+) -> int:
+    """Rank of ``copies`` copies of the matrix {(row, column): value} on a diagonal.
 
-    A value is any exact scalar: an int, a Fraction or a ``CycloNumber``.
+    The matrix has rows 0..nrows-1, and the rank of the direct sum of
+    ``copies`` copies of it is ``copies`` times its rank, found once.  A
+    value is any exact scalar: an int, a Fraction or a ``CycloNumber``.
     Without ``ceiling`` the rank comes from exact elimination.  A caller
-    that has proven the rank is at most ``ceiling`` lets the rank be read
-    off a triangular matching instead (``_triangular_pairs``): when it has
-    ``ceiling`` pairs, the rank is at least and at most ``ceiling``, with no
-    field arithmetic.  Any other matching falls back to elimination.
+    that has proven the direct sum's rank is at most ``ceiling`` lets the
+    rank be read off a triangular matching instead (``_triangular_pairs``):
+    when ``copies`` times its pairs is ``ceiling``, the rank is at least and
+    at most ``ceiling``, with no field arithmetic.  Any other matching falls
+    back to elimination.
     """
-    if ceiling is not None and _triangular_pairs(entries) == ceiling:
-        return ceiling
-    return _eliminate(entries, nrows)
+    if ceiling is not None:
+        pairs = _triangular_pairs(entries)
+        if pairs is not None and copies * pairs == ceiling:
+            return ceiling
+    return copies * _eliminate(entries, nrows)
 
 
 def _triangular_pairs(entries: dict) -> int | None:
@@ -296,24 +307,34 @@ def compute_homology(cx: DeformedComplex) -> HomologyResult:
     """Per-degree dimensions by exact rank computation.
 
     dim H^k = dim C^k - rank(d_k) - rank(d_{k-1}), each rank summed over
-    the blocks, each block's ``d[k]`` ranked as stored, its degree-(k+1)
-    members the rows.  A block's degrees are ranked in ascending order,
-    each with the ceiling (its members in degree k) - rank(its d_{k-1}), so
-    ``matrix_rank`` can prove the rank by a matching.  That ceiling holds
-    only if d o d = 0 within each block and no basis element lies in two
-    blocks, which ``check_d_squared`` checks (``cross_validate`` and
-    ``slndeform verify`` run it; so does the benchmark).  The generator columns are read off the
-    arc colorings with no free crossing, the elements of no block, and
+    the blocks.  Blocks that hold the same ``d`` object at the same sizes
+    (``Block.sizes``: the members in degrees k + 1 and k of each d[k]) hold
+    the same matrices, so each such ``d`` is ranked once, with the number
+    of blocks holding it as ``copies``: its ``d[k]`` as stored, its rows
+    the degree-(k+1) members.  Its degrees are ranked in ascending order,
+    each with the ceiling copies * (members in degree k) - rank(the
+    copies' d_{k-1}), so ``matrix_rank`` can prove the rank by a matching.
+    That ceiling holds only if d o d = 0 within each block and no basis
+    element lies in two blocks, which ``check_d_squared`` checks
+    (``cross_validate`` and ``slndeform verify`` run it; so does the
+    benchmark).  A block with its own ``d``, as after rescaling, or with
+    other sizes is ranked on its own.  The generator columns are read off
+    the arc colorings with no free crossing, the elements of no block, and
     extended by the loop labellings; ``cross_validate`` checks they account
     for every dimension and match the survivor resolutions.
     """
+    # the blocks hold every d for the call, so an id names one d
+    shared: dict[tuple, list] = {}  # (id(d), sizes) -> [d, the blocks holding it]
+    for block in cx.blocks:
+        held = shared.setdefault((id(block.d), block.sizes()), [block.d, 0])
+        held[1] += 1
     ranks: dict[int, int] = {}  # k -> rank of d_k
-    for members, d in cx.blocks:
-        block_rank: dict[int, int] = {}  # k -> rank of the block's d_k
-        for k in sorted(d):
-            ceiling = len(members[k]) - block_rank.get(k - 1, 0)
-            block_rank[k] = matrix_rank(d[k], len(members[k + 1]), ceiling=ceiling)
-            ranks[k] = ranks.get(k, 0) + block_rank[k]
+    for (_, sizes), (d, copies) in shared.items():
+        rank: dict[int, int] = {}  # k -> rank of the copies' d_k
+        for k, rows, cols in sorted(sizes):
+            ceiling = copies * cols - rank.get(k - 1, 0)
+            rank[k] = matrix_rank(d[k], rows, ceiling=ceiling, copies=copies)
+            ranks[k] = ranks.get(k, 0) + rank[k]
     dims = {}
     for k in cx.degrees:
         dim = len(cx.basis[k]) - ranks.get(k, 0) - ranks.get(k - 1, 0)

@@ -3,6 +3,8 @@
 import gc
 import re
 import time
+import tracemalloc
+from array import array
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product, repeat, starmap
@@ -16,6 +18,7 @@ from test_states import _braid_closure, _torus_pd, braid_diagrams
 
 from slndeform import chain, cyclotomic
 from slndeform.chain import (
+    DEFAULT_MAX_CHAIN_DIM,
     BasisColumn,
     ChainBasisElement,
     LocalType,
@@ -187,15 +190,17 @@ def _sigma1_power(k):
 
 
 def test_chain_dimension_gate_fires_before_any_vertex_is_resolved(monkeypatch):
-    # T(2,11) at n = 4 has 1,062,892 chain elements, over twice the default bound
-    d = _sigma1_power(11)
+    # T(2,13) at n = 4 has 9,565,948 chain elements, over eight times the default bound
+    d = _sigma1_power(13)
 
     def no_resolve(*args):
         raise AssertionError("a vertex was resolved")
 
     monkeypatch.setattr(chain, "resolve", no_resolve)
     began = time.perf_counter()
-    with pytest.raises(SizeBoundError, match="chain dimension exceeds the bound 500000"):
+    with pytest.raises(
+        SizeBoundError, match=f"chain dimension exceeds the bound {DEFAULT_MAX_CHAIN_DIM}$"
+    ):
         build_complex(d, 4)
     with pytest.raises(SizeBoundError, match="chain dimension"):
         cross_validate(d, 4, max_chain_dim=100_000)
@@ -452,9 +457,9 @@ def test_cube_lower_bound_refuses_before_the_walk(monkeypatch):
         build_complex(parse_pd(_torus_pd(41)), 2)
     d = parse_pd(_torus_pd(5001))
     began = time.perf_counter()
-    with pytest.raises(SizeBoundError, match="exceeds the bound 500000"):
+    with pytest.raises(SizeBoundError, match=f"exceeds the bound {DEFAULT_MAX_CHAIN_DIM}:"):
         build_complex(d, 3)
-    with pytest.raises(SizeBoundError, match="exceeds the bound 500000"):
+    with pytest.raises(SizeBoundError, match=f"exceeds the bound {DEFAULT_MAX_CHAIN_DIM}:"):
         cross_validate(d, 3)
     assert time.perf_counter() - began < 1.0
     with pytest.raises(SizeBoundError, match=r"0 crossings and 2 free loops .* 2\^0 \* 3\^2"):
@@ -1042,17 +1047,42 @@ def test_no_basis_record_outlives_build_or_cross_validate():
     assert held == []
 
 
+def test_the_basis_keeps_coloring_indices_not_states():
+    # a run keeps the indices of its colorings, and a block its members, as
+    # arrays of machine ints; a state tuple per element (a 56-byte header
+    # plus 8 bytes per label) takes the retained size past the bound: runs
+    # of state tuples retained 230 bytes per element here
+    d = parse_pd(_torus_pd(7))
+    tracemalloc.start()
+    try:
+        cx = build_complex(d, 4)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = sum(cx.dims().values())
+    assert size == 13_132
+    assert retained < 160 * size, retained / size
+    for column in cx.basis.values():
+        for _, _, held, _ in column.runs:
+            assert type(held) is array and held.typecode == "q"
+    for members, _ in cx.blocks:
+        assert all(type(column) is array for column in members.values())
+
+
 @pytest.mark.parametrize("code, n", [("figure_eight", 2), ("C[+;1,2,3,4] C[+;4,3,2,1] U U U", 3)])
 def test_check_states_names_the_vertex_of_a_changed_run(code, n):
     d = fixture(code) if code in fixture_names() else parse(code)
     cx = build_complex(d, n)
     assert cx.check_states() is None
     for k, column in cx.basis.items():
-        for r, (vertex, states, start) in enumerate(column.runs):
-            # label n is no label: the replaced state is admissible nowhere
-            changed = states[:-1] + ((n,) * len(states[-1]),)
-            runs = column.runs[:r] + ((vertex, changed, start),) + column.runs[r + 1:]
-            bad = replace(cx, basis={**cx.basis, k: BasisColumn(k, column.loops, runs)})
+        for r, (vertex, read, held, start) in enumerate(column.runs):
+            # label n is no label: the replaced state, read off a coloring
+            # labelled n everywhere, is admissible nowhere
+            labels = column.colorings[held[-1]][0]
+            colorings = column.colorings + [((n,) * len(labels), 0, 0)]
+            changed = held[:-1] + array("q", [len(column.colorings)])
+            runs = column.runs[:r] + ((vertex, read, changed, start),) + column.runs[r + 1:]
+            bad = replace(cx, basis={**cx.basis, k: BasisColumn(k, column.loops, colorings, runs)})
             assert bad.check_states() == vertex
 
 

@@ -9,6 +9,7 @@ import pytest
 from test_states import _torus_pd
 
 from slndeform import chain, cli, homology, states
+from slndeform.chain import DEFAULT_MAX_CHAIN_DIM
 from slndeform.cli import RunConfig, main
 from slndeform.cyclotomic import CycloNumber
 from slndeform.diagram import parse_pd
@@ -266,7 +267,9 @@ def test_size_bound_exit_code(tmp_path, capsys, monkeypatch):
     f.write_text(_torus_pd(41))
     code, out, err = _run(capsys, "homology", str(f), "--n", "2")
     assert code == 3 and out == ""
-    assert err.startswith("size bound exceeded: chain dimension exceeds the bound 500000")
+    assert err.startswith(
+        f"size bound exceeded: chain dimension exceeds the bound {DEFAULT_MAX_CHAIN_DIM}:"
+    )
     assert "at least 2^41 * 2^0" in err
 
 

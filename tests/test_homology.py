@@ -2,6 +2,7 @@
 
 import gc
 import re
+from array import array
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -131,6 +132,17 @@ def test_any_true_ceiling_gives_the_eliminated_rank(matrix):
     columns = len({c for _, c in entries})
     for ceiling in range(rank, max(nrows, columns) + 2):
         assert matrix_rank(entries, nrows, ceiling=ceiling) == rank, ceiling
+
+
+@settings(max_examples=100)
+@given(sparse_matrices(), st.integers(min_value=1, max_value=4))
+def test_copies_multiply_the_rank_under_any_true_ceiling(matrix, copies):
+    entries, nrows = matrix
+    rank = matrix_rank(entries, nrows)
+    assert matrix_rank(entries, nrows, copies=copies) == copies * rank
+    columns = len({c for _, c in entries})
+    for ceiling in range(copies * rank, copies * max(nrows, columns) + 2):
+        assert matrix_rank(entries, nrows, ceiling=ceiling, copies=copies) == copies * rank
 
 
 TORUS_2_7 = (
@@ -483,7 +495,7 @@ def test_entry_joining_two_arc_colorings_is_rejected():
     k = min(members1)
     taken = members0[k][0]
     # block 1 swaps its first degree-k member for one of block 0's
-    stolen = {**members1, k: (taken,) + members1[k][1:]}
+    stolen = {**members1, k: (taken,) + tuple(members1[k][1:])}
     cx.blocks = (cx.blocks[0], Block(stolen, d1)) + cx.blocks[2:]
     with pytest.raises(
         InternalCheckError,
@@ -571,6 +583,164 @@ def test_kink_beside_five_unknots_cross_validates():
     rep = cross_validate(parse_pd("X[1,2,2,1] U U U U U"), 4)
     assert rep.passed, rep.messages
     assert rep.computed.dims == {0: 4096}
+
+
+# ----------------------------------------------------------------------
+# Each shared cube matrix ranked once
+# ----------------------------------------------------------------------
+
+def reference_dims(cx):
+    """Homology dims with every block ranked on its own, under its ceiling.
+
+    The reference for ``compute_homology``, which ranks each shared ``d``
+    once: a block's degrees in ascending order, each with the ceiling (its
+    members in degree k) - rank(its d_{k-1}).
+    """
+    ranks = Counter()
+    for members, d in cx.blocks:
+        block_rank = {}
+        for k in sorted(d):
+            ceiling = len(members[k]) - block_rank.get(k - 1, 0)
+            block_rank[k] = matrix_rank(d[k], len(members[k + 1]), ceiling=ceiling)
+            ranks[k] += block_rank[k]
+    dims = {k: len(cx.basis[k]) - ranks[k] - ranks[k - 1] for k in cx.degrees}
+    return {k: dim for k, dim in dims.items() if dim}
+
+
+def _rank_calls(monkeypatch):
+    """(id of the entries, rows) -> the ``copies`` of each ``matrix_rank`` call on them."""
+    calls = {}
+    rank = homology.matrix_rank
+
+    def spy(entries, nrows, *, ceiling=None, copies=1):
+        calls.setdefault((id(entries), nrows), []).append(copies)
+        return rank(entries, nrows, ceiling=ceiling, copies=copies)
+
+    monkeypatch.setattr(homology, "matrix_rank", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", fixture_names())
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ranks_once_per_cube_equal_the_block_loop_on_fixtures(name, n):
+    cx = build_complex(fixture(name), n)
+    assert compute_homology(cx).dims == reference_dims(cx)
+
+
+@settings(max_examples=20, deadline=None)
+@given(braid_diagrams(), st.sampled_from((2, 3, 4)))
+def test_ranks_once_per_cube_equal_the_block_loop_on_generated_diagrams(d, n):
+    try:
+        cx = build_complex(d, n, max_chain_dim=20_000)
+    except SizeBoundError:
+        assume(False)
+    assert compute_homology(cx).dims == reference_dims(cx)
+
+
+@pytest.mark.parametrize("code", [TORUS_2_3, TORUS_2_5], ids=["T(2,3)", "T(2,5)"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_rescaled_blocks_are_ranked_block_by_block(monkeypatch, code, n):
+    rescaled = rescale_basis(build_complex(parse_pd(code), n), seed=n)
+    calls = _rank_calls(monkeypatch)
+    assert compute_homology(rescaled).dims == reference_dims(rescaled)
+    # every block owns its d, so each of its matrices is ranked once, alone
+    assert calls == {
+        (id(entries), len(members[k + 1])): [1]
+        for members, d in rescaled.blocks for k, entries in d.items()
+    }
+
+
+def _shared_cube(cx, entries=None):
+    """The ``d`` held by the most blocks, and those blocks' numbers.
+
+    With ``entries``, only a ``d`` of that many entries in all is taken.
+    """
+    holders = {}
+    for b, (_, d) in enumerate(cx.blocks):
+        if entries is None or sum(map(len, d.values())) == entries:
+            holders.setdefault(id(d), []).append(b)
+    blocks = max(holders.values(), key=len)
+    assert len(blocks) > 1
+    return cx.blocks[blocks[0]].d, blocks
+
+
+def test_shared_cube_matrices_are_ranked_once_for_all_their_blocks(monkeypatch):
+    cx = build_complex(parse_pd(TORUS_2_7), 4)
+    calls = _rank_calls(monkeypatch)
+    assert compute_homology(cx).dims == reference_dims(cx)
+    held = Counter(id(d) for _, d in cx.blocks)
+    assert len(held) < len(cx.blocks)
+    # one call per distinct d and degree, for every block that holds it
+    assert calls == {
+        (id(entries), len(members[k + 1])): [held[id(d)]]
+        for members, d in cx.blocks for k, entries in d.items()
+    }
+
+
+def test_an_entry_zeroed_in_a_shared_cube_shifts_every_block_of_it(monkeypatch):
+    d = parse_pd(TORUS_2_5)
+    cx = build_complex(d, 3)
+    base = compute_homology(cx).dims
+    # a cube over one free crossing: its one entry is the whole of d[k]
+    shared, blocks = _shared_cube(cx, entries=1)
+    (k, entries), = shared.items()
+    entries[next(iter(entries))] = 0  # in place: every block of the cube sees it
+    shifted = Counter(base)
+    shifted[k] += len(blocks)
+    shifted[k + 1] += len(blocks)
+    assert compute_homology(cx).dims == reference_dims(cx) == dict(sorted(shifted.items()))
+    monkeypatch.setattr(homology, "build_complex", lambda *args, **kwargs: cx)
+    report = cross_validate(d, 3)
+    # a cube over one crossing has no square, so only the ranks tell
+    assert report.computed.dims == dict(sorted(shifted.items()))
+    assert report.messages == [
+        f"rank computation {report.computed.dims} != closed form {report.closed.dims}"
+    ]
+
+
+def test_a_block_with_its_own_faulted_copy_is_ranked_on_its_own(monkeypatch):
+    cx = build_complex(parse_pd(TORUS_2_5), 3)
+    base = compute_homology(cx).dims
+    shared, blocks = _shared_cube(cx, entries=1)
+    b = blocks[-1]
+    (k, entries), = shared.items()
+    copy = {k: dict.fromkeys(entries, 0)}
+    cx.blocks = tuple(
+        block._replace(d=copy) if i == b else block for i, block in enumerate(cx.blocks)
+    )
+    shifted = Counter(base)
+    shifted[k] += 1
+    shifted[k + 1] += 1
+    calls = _rank_calls(monkeypatch)
+    assert compute_homology(cx).dims == reference_dims(cx) == dict(sorted(shifted.items()))
+    rows = len(cx.blocks[b].members[k + 1])
+    assert calls[id(copy[k]), rows] == [1]
+    assert calls[id(entries), rows] == [len(blocks) - 1]
+
+
+def test_a_block_of_other_sizes_is_ranked_apart_from_its_cube(monkeypatch):
+    cx = build_complex(parse_pd(TORUS_2_5), 3)
+    base = compute_homology(cx).dims
+    shared, blocks = _shared_cube(cx)
+    assert len(shared) > 1
+    b = blocks[-1]
+    members = cx.blocks[b].members
+    top = max(members)
+    # one more row in the top degree: the same matrices at other sizes
+    grown = {**members, top: array("q", [*members[top], members[top][-1]])}
+    cx.blocks = tuple(
+        block._replace(members=grown) if i == b else block for i, block in enumerate(cx.blocks)
+    )
+    calls = _rank_calls(monkeypatch)
+    assert compute_homology(cx).dims == reference_dims(cx) == base
+    for k, entries in shared.items():
+        rows = len(members[k + 1])
+        if k + 1 == top:
+            assert calls[id(entries), rows] == [len(blocks) - 1]
+            assert calls[id(entries), rows + 1] == [1]
+        else:
+            # every degree of the grown block is ranked apart
+            assert sorted(calls[id(entries), rows]) == [1, len(blocks) - 1]
 
 
 # ----------------------------------------------------------------------
