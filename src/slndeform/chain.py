@@ -32,19 +32,25 @@ so ``DeformedComplex.blocks`` stores each cube's local matrices once, and
 a block adds only its members, an ``array`` of global indices per degree.
 ``build_complex`` takes the cubes from one walk over the arc colorings
 (``_arc_colorings``), which also counts the chain dimension, so
-``max_chain_dim`` stops a run before any vertex is resolved.  Labelling
+``max_chain_dim`` stops a run before any block is built.  Labelling
 the Seifert circles with two labels gives a coloring free at every
 crossing, so the chain dimension is at least 2^k * n^loops for k
 crossings: that bound refuses a diagram before the walk starts, and is
 the only gate on the crossing count.
 
-The basis keeps no state and no record per element.  Each vertex is
-resolved only for the reader of its states off a coloring's labels; it
-keeps the indices of the colorings whose cube holds it, sorted once by
-the states they give, as an ``array``, and drops the states.
-``basis[k]`` is a ``BasisColumn`` of those runs and the loop labellings
-that prefix them, which reads a state, and builds a ``ChainBasisElement``,
-only when one is read.  The resolution-based ``enumerate_admissible``
+The basis keeps no state and no record per element, and assembly reads
+no state.  A thin edge's id is its smallest arc and ``d.arcs`` ascend, so
+a vertex's state is a coloring's labels at increasing positions, every
+other label repeating an earlier one: among the colorings whose cube
+holds a vertex, the order of their labels is the order of their states.
+``build_complex`` sorts the colorings by their labels once, and each
+vertex keeps the indices of the colorings whose cube holds it, ascending,
+as an ``array``.  ``basis[k]`` is a ``BasisColumn`` of those runs and the
+loop labellings that prefix them, which resolves a vertex for its reader
+of states off a coloring's labels on the run's first read, and reads a
+state, and builds a ``ChainBasisElement``, only when one is read; sizes,
+blocks, d o d and ranks resolve no vertex.  The resolution-based
+``enumerate_admissible``
 stays the oracle for that walk (``DeformedComplex.check_states``), and
 ``matched_pairs`` the classifying reference for the entries.  d o d is
 composed once per distinct block matrix, and ``homology.compute_homology``
@@ -61,16 +67,17 @@ import enum
 import random
 from array import array
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import islice, product, repeat, starmap
-from operator import add, eq, itemgetter
+from operator import add, eq, ge, itemgetter
 from typing import NamedTuple
 
 from .cyclotomic import CycloField, CycloNumber
 from .diagram import Crossing, LinkDiagram
 from .errors import InternalCheckError, SizeBoundError
-from .resolution import Resolution, degree as vertex_degree, reader, records, resolve
+from .resolution import Resolution, reader, records, resolve
 from .states import enumerate_admissible
 
 __all__ = [
@@ -87,7 +94,7 @@ __all__ = [
 ]
 
 # admits T(2,11) at n = 4: 1,062,892 elements; ``slndeform homology`` on it
-# takes about 2.5 s at 111 MB peak RSS (Python 3.11)
+# takes about 1.2-1.3 s at 101 MB peak RSS (Python 3.11.7, 2-vCPU shared VM)
 DEFAULT_MAX_CHAIN_DIM = 1_100_000
 
 
@@ -188,29 +195,51 @@ class ChainBasisElement(NamedTuple):
 _LABELS = itemgetter(0)  # a coloring triple's labels
 
 
-def _read_states(colorings, read, held) -> list:
+class _Reader:
+    """A vertex's reader of its arc state off a coloring's labels, built on first use.
+
+    ``get`` resolves the vertex once, through ``resolve`` and all of its
+    checks, and keeps ``reader(resolve(d, vertex).reads[d.free_loops:])``:
+    the state without the free loops' labels, which lead it.
+    """
+
+    __slots__ = ("diagram", "vertex", "_read")
+
+    def __init__(self, d: LinkDiagram, vertex: tuple[int, ...]):
+        self.diagram, self.vertex, self._read = d, vertex, None
+
+    def get(self):
+        if self._read is None:
+            d = self.diagram
+            self._read = reader(resolve(d, self.vertex).reads[d.free_loops:])
+        return self._read
+
+
+def _read_states(colorings, read: _Reader, held) -> list:
     """The arc states ``read`` takes off the labels of ``colorings[c]``, c in ``held``."""
-    return list(map(read, map(_LABELS, map(colorings.__getitem__, held))))
+    return list(map(read.get(), map(_LABELS, map(colorings.__getitem__, held))))
 
 
 class BasisColumn(Sequence):
     """The basis of one degree, kept as its vertices' runs of coloring indices.
 
-    ``colorings`` is the complex's list of (labels, free, ones) triples.
-    ``runs`` holds (vertex, read, held, start) for each vertex of the degree
-    with a state, in lexicographic vertex order: the vertex's ``reader`` of
-    its arc state, without the free loops' labels, off a coloring's labels;
-    the indices in ``colorings`` of the colorings whose cube holds the
-    vertex, as an ``array`` sorted by the states they give; and the index of
-    its first element.  ``loops`` holds the loop labellings in order.  A run
-    spans len(loops) * len(held) elements, loop labelling outer and state
-    inner, so element ``start + a * len(held) + b`` is
-    ``ChainBasisElement(vertex, loops[a] + read(labels of colorings[held[b]]),
-    degree)``: the order of the sorted (vertex, state) pairs.  No state is
-    kept: states and records are built only on read, one per ``column[i]``
-    and in bulk, a run at a time, by iteration; a slice gives a tuple of
-    records, and ``index``, ``count`` and ``in`` compare them as a tuple's
-    items.  Code that needs only the size reads ``len``.
+    ``colorings`` is the complex's list of (labels, free, ones) triples, in
+    label order.  ``runs`` holds (vertex, read, held, start) for each vertex
+    of the degree with a state, in lexicographic vertex order: a ``_Reader``
+    of the vertex's arc state, without the free loops' labels, off a
+    coloring's labels, which resolves the vertex on the run's first read and
+    keeps its reader; the indices in ``colorings`` of the colorings whose
+    cube holds the vertex, as an ascending ``array``, which is the order of
+    the states they give; and the index of its first element.  ``loops``
+    holds the loop labellings in order.  A run spans len(loops) * len(held)
+    elements, loop labelling outer and state inner, so element
+    ``start + a * len(held) + b`` is ``ChainBasisElement(vertex, loops[a] +
+    read(labels of colorings[held[b]]), degree)``: the order of the sorted
+    (vertex, state) pairs.  No state is kept: states and records are built
+    only on read, one per ``column[i]`` and in bulk, a run at a time, by
+    iteration; a slice gives a tuple of records, and ``index``, ``count``
+    and ``in`` compare them as a tuple's items.  Code that needs only the
+    size reads ``len``, which resolves no vertex.
     """
 
     __slots__ = ("degree", "loops", "colorings", "runs", "_len")
@@ -231,7 +260,7 @@ class BasisColumn(Sequence):
         vertex, read, held, start = self.runs[bisect_right(self.runs, j, key=itemgetter(3)) - 1]
         a, b = divmod(j - start, len(held))
         return ChainBasisElement(
-            vertex, self.loops[a] + read(self.colorings[held[b]][0]), self.degree
+            vertex, self.loops[a] + read.get()(self.colorings[held[b]][0]), self.degree
         )
 
     def __iter__(self):
@@ -283,18 +312,19 @@ class DeformedComplex:
     """The basis per degree plus the differential in direct-sum form.
 
     ``basis[k]`` is a ``BasisColumn``: each degree-k vertex's colorings, as
-    indices in ``colorings`` sorted by the states they give, with states
-    and ``ChainBasisElement`` records read on demand; its positions are
-    the global basis indices the blocks' ``members`` hold.
+    ascending indices in ``colorings``, which is the order of the states
+    they give, with each vertex resolved for its reader on its run's first
+    read and states and ``ChainBasisElement`` records read on demand; its
+    positions are the global basis indices the blocks' ``members`` hold.
     ``blocks`` holds a ``Block`` per arc coloring with a free crossing and
-    labelling of the free loops, in walk order; no block holds an empty
+    labelling of the free loops, in label order; no block holds an empty
     degree.  A value is the int 1 or -1 from ``build_complex``, and a
     ``Monomial`` after rescaling.  Blocks of one cube share their ``d``:
     never edit a ``d`` in place, replace the block.  Each ``d[k]`` is filed
     crossing-major (free crossings outer, members inner), an order the
     matching in ``homology.matrix_rank`` relies on.  ``colorings`` keeps
-    the walk's (labels, free, ones) triples in walk order (see
-    ``_arc_colorings``), off which the basis reads every state; a coloring
+    the walk's (labels, free, ones) triples (see ``_arc_colorings``) sorted
+    by their labels, off which the basis reads every state; a coloring
     with no free crossing is a cube of one member, which no block holds.
     """
 
@@ -383,7 +413,8 @@ class DeformedComplex:
         complex's states, in basis order, must be exactly its states.  They
         are read off the columns' runs, a run at a time, through the run's
         reader from the colorings, each state prefixed by every loop
-        labelling, with no ``ChainBasisElement`` built.
+        labelling, with no ``ChainBasisElement`` built.  Every vertex is
+        resolved for the oracle, so ``resolve``'s checks run on each.
         """
         runs = {
             v: (column, read, held)
@@ -548,19 +579,26 @@ def build_complex(
 ) -> DeformedComplex:
     """Assemble the cube complex from the arc colorings, one cube each.
 
-    n < 2 raises ValueError.  A chain dimension past ``max_chain_dim``
-    raises SizeBoundError before any vertex is resolved: at once when the
+    n < 2, or ``d.arcs`` not strictly ascending, raises ValueError.  A chain
+    dimension past ``max_chain_dim`` raises SizeBoundError: at once when the
     lower bound 2^k * n^loops passes it (see the module docstring), else
-    from ``_arc_colorings``.  Each vertex records the colorings whose cube
-    holds it, then reads their states through its ``Resolution.reads``,
-    sorts the coloring indices by them once and drops them, so the states
-    of one vertex at a time are held; one state arriving twice (a coloring
-    listed twice) raises InternalCheckError.  A coloring with free crossings
-    gives a block for each labelling of the free loops, in walk order, which
-    shares its cube's local matrices (``_cube``, built once per cube).
+    from ``_arc_colorings``.  The colorings are sorted once by their labels,
+    and among the colorings whose cube holds a vertex that is the order of
+    the states they give: a thin edge's id is its smallest arc, so with
+    ascending arcs a vertex's state is its coloring's labels at increasing
+    positions, and every other label repeats an earlier one.  Two equal
+    labellings (a coloring listed twice) raise InternalCheckError.  No
+    vertex is resolved here: a run's reader of its states is built on its
+    first read.  One pass over the colorings counts each vertex's members
+    and fixes its start; a second appends each coloring to its members'
+    runs and gives a coloring with free crossings a block for each
+    labelling of the free loops, which shares its cube's local matrices
+    (``_cube``, built once per cube).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    if any(map(ge, d.arcs, islice(d.arcs, 1, None))):
+        raise ValueError("the diagram's arcs must be strictly ascending")
     k = len(d.crossings)
     if n ** d.free_loops << k > max_chain_dim:  # also spares the k-deep walk
         raise SizeBoundError(
@@ -568,64 +606,67 @@ def build_complex(
             f"{d.free_loops} free loops give at least 2^{k} * {n}^{d.free_loops}"
         )
     colorings = _arc_colorings(d, n, max_chain_dim)
+    colorings.sort(key=_LABELS)
+    labels = list(map(_LABELS, colorings))
+    if any(map(eq, labels, islice(labels, 1, None))):
+        i = next(i for i in range(1, len(labels)) if labels[i] == labels[i - 1])
+        twice, _, ones = colorings[i]
+        v = tuple((ones >> (k - 1 - j)) & 1 for j in range(k))  # the cube's first member
+        raise InternalCheckError(
+            f"vertex {v} receives state {_Reader(d, v).get()(twice)} twice: "
+            "an arc coloring was listed twice"
+        )
+    del labels
 
-    vertices = list(product((0, 1), repeat=k))  # vertex mask m is vertices[m]
-    vdeg = [vertex_degree(d, v) for v in vertices]
-    read = [reader(resolve(d, v).reads[d.free_loops:]) for v in vertices]  # loops lead
+    vdeg = [0]  # vertex mask -> its degree; crossing i is bit k-1-i
+    for c in reversed(d.crossings):
+        vdeg += [kv + c.sign for kv in vdeg]
 
-    # the colorings whose cube holds each vertex, in walk order (a list
-    # holds a pointer per member to one int per coloring)
-    cubes: dict[tuple[int, int], tuple] = {}  # (ones, free) -> _cube's answer
-    held = [[] for _ in vertices]
-    for c, (labels, free, ones) in enumerate(colorings):
-        cube = cubes.get((ones, free))
-        if cube is None:
-            cube = cubes[ones, free] = _cube(ones, free, vdeg, d.crossings)
-        for m in cube[0]:
+    # pass one: each vertex's members, and its start in its degree's column;
+    # a cube keeps its members, the member masks of each degree, its matrices
+    cubes: dict[tuple[int, int], tuple] = {}  # (ones, free) -> (at, by degree, local)
+    size = [0] * len(vdeg)  # vertex -> its arc states, one run per loop labelling
+    for (ones, free), count in Counter(map(itemgetter(2, 1), colorings)).items():
+        at, groups, local = _cube(ones, free, vdeg, d.crossings)
+        by_degree = [(kv, [m for _, m in group]) for kv, group in groups.items()]
+        cubes[ones, free] = at, by_degree, local
+        for m in at:
+            size[m] += count
+    loops = tuple(product(range(n), repeat=d.free_loops))
+    dim: dict[int, int] = {}  # degree -> its elements so far
+    start = [0] * len(vdeg)
+    for m, kv in enumerate(vdeg):  # lexicographic vertex order
+        start[m] = dim.setdefault(kv, 0)
+        dim[kv] += len(loops) * size[m]
+
+    # pass two: each vertex's run of coloring indices, ascending and so in
+    # state order, and a block per coloring with a free crossing and loop
+    # labelling, its members placed at their vertex's start plus the run so
+    # far, plus a run of the vertex's states per earlier loop labelling
+    held = [array("q") for _ in vdeg]
+    blocks = []
+    for c, (_, free, ones) in enumerate(colorings):
+        at, by_degree, local = cubes[ones, free]
+        if free:
+            first = {
+                kv: array("q", map(
+                    add, map(start.__getitem__, ms), map(len, map(held.__getitem__, ms))
+                ))
+                for kv, ms in by_degree
+            }
+            blocks.append(Block(first, local))
+            for run in range(1, len(loops)):
+                blocks.append(Block({
+                    kv: array("q", map(add, first[kv], map(run.__mul__, map(size.__getitem__, ms))))
+                    for kv, ms in by_degree
+                }, local))
+        for m in at:
             held[m].append(c)
 
-    # each vertex reads its states, sorts its colorings by them and drops
-    # them; ``held[m]`` then turns into its colorings' places in its column,
-    # in walk order, in the first loop run, kept as an array since every
-    # place is its own int
-    loops = tuple(product(range(n), repeat=d.free_loops))
     runs: dict[int, list] = {}  # degree -> its vertices' (vertex, read, held, start)
-    dim: dict[int, int] = {}  # degree -> its elements so far
-    size = [0] * len(vertices)  # vertex -> its arc states, one run per loop labelling
-    for m, v in enumerate(vertices):  # lexicographic vertex order, then state order
-        kv, mine = vdeg[m], held[m]
-        found = _read_states(colorings, read[m], mine)
-        order = sorted(range(len(found)), key=found.__getitem__)
-        ordered = [found[i] for i in order]
-        if any(map(eq, ordered, islice(ordered, 1, None))):
-            twice = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
-            raise InternalCheckError(
-                f"vertex {v} receives state {twice} twice: an arc coloring was listed twice"
-            )
-        del found, ordered  # one vertex's states at a time
-        start = dim.setdefault(kv, 0)
-        size[m] = len(order)
-        if order:
-            sorted_held = array("q", map(mine.__getitem__, order))
-            runs.setdefault(kv, []).append((v, read[m], sorted_held, start))
-            dim[kv] = start + len(loops) * len(order)
-        held[m] = place = array("q", order)
-        for p, i in enumerate(order, start):
-            place[i] = p
-
-    # a block per coloring with a free crossing and loop labelling; each
-    # vertex's places are taken in the walk order they were recorded in
-    blocks = []
-    places = [iter(place) for place in held]  # vertex -> its places, in walk order
-    for _, free, ones in colorings:
-        at, groups, local = cubes[ones, free]
-        got = [next(places[m]) for m in at]
-        if free:
-            for run in range(len(loops)):
-                blocks.append(Block({
-                    kv: array("q", [got[j] + run * size[m] for j, m in group])
-                    for kv, group in groups.items()
-                }, local))
+    for m, v in enumerate(product((0, 1), repeat=k)):
+        if size[m]:
+            runs.setdefault(vdeg[m], []).append((v, _Reader(d, v), held[m], start[m]))
 
     return DeformedComplex(
         diagram=d,

@@ -1,10 +1,14 @@
 """Differential assembly: local types, matched pairs, d^2 = 0, rescaling."""
 
 import gc
+import hashlib
+import json
+import random
 import re
 import time
 import tracemalloc
 from array import array
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product, repeat, starmap
@@ -33,7 +37,7 @@ from slndeform.cyclotomic import CycloNumber, Monomial
 from slndeform.diagram import parse, parse_pd, parse_signed, render_signed
 from slndeform.errors import InternalCheckError, SizeBoundError
 from slndeform.fixtures import fixture, fixture_names
-from slndeform.homology import compute_homology, cross_validate
+from slndeform.homology import closed_form, compute_homology, cross_validate
 from slndeform.resolution import degree as vertex_degree, records, resolve
 from slndeform.states import enumerate_admissible
 
@@ -178,6 +182,146 @@ def test_repeated_coloring_is_rejected(monkeypatch):
     _inject(monkeypatch, lambda colorings: colorings + colorings[-1:])
     with pytest.raises(InternalCheckError, match="receives state .* twice"):
         build_complex(fixture("hopf_pos"), 2)
+
+
+def _permuted_build(d, n, permute):
+    """``build_complex`` assembled from the walk's colorings in ``permute``'s order."""
+    with pytest.MonkeyPatch.context() as mp:
+        _inject(mp, permute)
+        return build_complex(d, n)
+
+
+def _reversed(colorings):
+    return colorings[::-1]
+
+
+def _shuffled(colorings):
+    return random.Random(len(colorings)).sample(colorings, len(colorings))
+
+
+def _assert_same_complex(cx, base):
+    """Every read of ``cx`` equals that of ``base``, and both of its checks pass."""
+    assert cx.degrees == base.degrees
+    for k in base.degrees:
+        assert list(cx.basis[k]) == list(base.basis[k]), k
+    assert cx.differentials == base.differentials
+    assert cx.dims() == base.dims()
+    assert cx.euler_characteristic() == base.euler_characteristic()
+    assert cx.check_states() is None
+    assert cx.check_d_squared() is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_order_of_the_colorings_does_not_change_the_complex(n):
+    # the colorings are sorted by their labels, whatever order they come in
+    for name in fixture_names():
+        d = fixture(name)
+        base = build_complex(d, n)
+        for permute in (_reversed, _shuffled):
+            _assert_same_complex(_permuted_build(d, n, permute), base)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(braid_diagrams(), st.sampled_from((2, 3, 4)))
+def test_the_order_of_the_colorings_does_not_change_the_complex_on_generated_diagrams(d, n):
+    try:
+        base = build_complex(d, n, max_chain_dim=20_000)
+    except SizeBoundError:
+        assume(False)
+    for permute in (_reversed, _shuffled):
+        _assert_same_complex(_permuted_build(d, n, permute), base)
+
+
+def test_a_diagram_with_arcs_out_of_order_is_rejected_before_the_walk(monkeypatch):
+    # the basis order is the colorings' label order only with ascending arcs
+    def never(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(chain, "_arc_colorings", never)
+    d = fixture("trefoil_right")
+    for arcs in (d.arcs[::-1], d.arcs[1:] + d.arcs[:1], d.arcs[:1] + d.arcs[:-1]):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            build_complex(replace(d, arcs=arcs), 2)
+
+
+def _counting_resolve(monkeypatch):
+    """Count ``chain.resolve``'s calls per vertex."""
+    calls = Counter()
+    real = chain.resolve
+
+    def counted(d, choice):
+        calls[tuple(choice)] += 1
+        return real(d, choice)
+
+    monkeypatch.setattr(chain, "resolve", counted)
+    return calls
+
+
+def test_build_ranks_and_checks_resolve_no_vertex(monkeypatch):
+    d = parse_pd(_torus_pd(7))
+    calls = _counting_resolve(monkeypatch)
+    cx = build_complex(d, 4)
+    assert not calls
+
+    def no_resolve(*args):
+        raise AssertionError("a vertex was resolved")
+
+    monkeypatch.setattr(chain, "resolve", no_resolve)
+    assert cx.check_d_squared() is None
+    assert compute_homology(cx).dims == closed_form(d, 4).dims
+    assert sum(cx.dims().values()) == 13_132
+    assert cx.euler_characteristic() == 4
+
+
+def test_a_run_resolves_its_vertex_on_its_first_read_only(monkeypatch):
+    cx = build_complex(fixture("figure_eight"), 3)
+    calls = _counting_resolve(monkeypatch)
+    column = cx.basis[0]
+    vertex, _, held, start = column.runs[len(column.runs) // 2]
+    first = column[start]
+    assert first.vertex == vertex and calls == {vertex: 1}
+    assert column[start] == first and column[start + len(held) - 1].vertex == vertex
+    assert calls == {vertex: 1}
+    elements = list(column)
+    assert elements[start] == first
+    assert calls == {v: 1 for v, _, _, _ in column.runs}
+    assert list(column) == elements and column[:] == tuple(elements)
+    assert calls == {v: 1 for v, _, _, _ in column.runs}
+
+
+def test_check_states_resolves_every_vertex(monkeypatch):
+    d = fixture("figure_eight")
+    cx = build_complex(d, 3)
+    calls = _counting_resolve(monkeypatch)
+    assert cx.check_states() is None
+    assert set(calls) == set(product((0, 1), repeat=len(d.crossings)))
+
+
+# sha256 of ``json.dumps(cx.matrices_json())`` and of the repr of the list of
+# basis records as plain tuples, recorded from the assembly that read and
+# sorted every vertex's states
+GOLDEN_DIGESTS = [
+    ("figure_eight", 3,
+     "2799928afed726febd856067186248901bc4497b9e2cff5d7aa68cfbfaedc7cc",
+     "be8516f0d2d2921bb865e2485279660d2f93aebec93c8f1507f526a55b74edcd"),
+    ("trefoil_right", 4,
+     "502fbf45ce1b5f9df8baf3aa1163b2ffe134f843f6af21534996fd623362cdd1",
+     "449c5a4e6bfed06d616ce585f47265d8cd56510ef965f2bf9ed4ff0db6ac40f6"),
+    ("T(2,7)", 3,
+     "6d775c301af2efb6ce57855bc211aadea3a98df39624f5ff8b78cf760b7e336a",
+     "fae0121be7ed1bde33a8331c5addd6ea265312aa4bd3500130f789b1d8c0309f"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, n, matrices, basis", GOLDEN_DIGESTS, ids=[f"{g[0]}-{g[1]}" for g in GOLDEN_DIGESTS]
+)
+def test_matrices_and_basis_match_their_recorded_digests(name, n, matrices, basis):
+    d = parse_pd(_torus_pd(7)) if name == "T(2,7)" else fixture(name)
+    cx = build_complex(d, n)
+    assert hashlib.sha256(json.dumps(cx.matrices_json()).encode()).hexdigest() == matrices
+    rows = [tuple(el) for k in cx.degrees for el in cx.basis[k]]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == basis
 
 
 def _sigma1_power(k):
@@ -682,10 +826,15 @@ def _whole_degree_failures(cx):
 
 def test_d_squared_failure_is_the_smallest_square_over_all_blocks():
     cx = build_complex(fixture("figure_eight"), 2)
-    first = 0
-    later = next(b for b, (_, d) in enumerate(cx.blocks) if min(d) < min(cx.blocks[first].d))
-    # break d o d in the block composed first at its top degree, and in a
-    # later block at a lower degree
+    # the first block with a square, and a later one with a square whose
+    # degrees start lower
+    squared = [b for b, (_, d) in enumerate(cx.blocks) if len(d) > 1]
+    assert squared
+    first = squared[0]
+    later = next((b for b in squared if min(cx.blocks[b].d) < min(cx.blocks[first].d)), None)
+    assert later is not None
+    # break d o d in the earlier block at its top degree, and in the later
+    # block at a lower degree
     for b, k in ((first, max(cx.blocks[first].d)), (later, min(cx.blocks[later].d))):
         _scale_smallest_entry(cx, b, k, -1)
     failures = _whole_degree_failures(cx)
@@ -858,8 +1007,12 @@ def _shared_cube_with_squares(cx):
 
 
 def test_fault_in_a_shared_cube_matrix_breaks_every_block_of_the_cube():
-    # a _cube that filed one wrong sign: every block of the cube holds it
+    # a _cube that filed one wrong sign: every block of the cube holds it.
+    # Blocks come in label order, which puts a cube's smallest square in its
+    # first block, so they are checked here in reverse: the direct sum is
+    # the same, and the smallest square lies in a block checked later
     cx = build_complex(fixture("figure_eight"), 3)
+    cx.blocks = cx.blocks[::-1]
     cube = _shared_cube_with_squares(cx)
     d = cx.blocks[cube[0]].d
     k = min(d)

@@ -650,14 +650,15 @@ def test_rescaled_blocks_are_ranked_block_by_block(monkeypatch, code, n):
     }
 
 
-def _shared_cube(cx, entries=None):
+def _shared_cube(cx, entries=None, degrees=1):
     """The ``d`` held by the most blocks, and those blocks' numbers.
 
-    With ``entries``, only a ``d`` of that many entries in all is taken.
+    With ``entries``, only a ``d`` of that many entries in all is taken;
+    only a ``d`` of at least ``degrees`` degrees is taken.
     """
     holders = {}
     for b, (_, d) in enumerate(cx.blocks):
-        if entries is None or sum(map(len, d.values())) == entries:
+        if len(d) >= degrees and (entries is None or sum(map(len, d.values())) == entries):
             holders.setdefault(id(d), []).append(b)
     blocks = max(holders.values(), key=len)
     assert len(blocks) > 1
@@ -721,7 +722,7 @@ def test_a_block_with_its_own_faulted_copy_is_ranked_on_its_own(monkeypatch):
 def test_a_block_of_other_sizes_is_ranked_apart_from_its_cube(monkeypatch):
     cx = build_complex(parse_pd(TORUS_2_5), 3)
     base = compute_homology(cx).dims
-    shared, blocks = _shared_cube(cx)
+    shared, blocks = _shared_cube(cx, degrees=2)
     assert len(shared) > 1
     b = blocks[-1]
     members = cx.blocks[b].members
